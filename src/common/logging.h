@@ -1,7 +1,7 @@
 // Minimal leveled logger. Logging is off by default at DEBUG level; the
-// engine and benches raise verbosity explicitly. Not thread-safe beyond the
-// atomicity of single stream insertions (adequate for this codebase, which
-// is single-threaded per engine instance).
+// engine and benches raise verbosity explicitly. Safe to use from any
+// thread: the level is an atomic, and each message is built in its own
+// stream and written to stderr with one call.
 
 #ifndef INSIGHTNOTES_COMMON_LOGGING_H_
 #define INSIGHTNOTES_COMMON_LOGGING_H_

@@ -1,5 +1,8 @@
 #include "core/summary_instance.h"
 
+#include <algorithm>
+#include <array>
+
 #include "core/summary_object.h"
 
 namespace insightnotes::core {
@@ -68,12 +71,10 @@ txt::SparseVector SummaryInstance::VectorizeAnnotation(const ann::Annotation& no
   // through this store (GetVector) so they stay lightweight. The invariant
   // property only controls whether a cached vector is *reused* (the
   // summarize-once optimization) or recomputed for accounting purposes.
-  {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    auto it = vector_cache_.find(note.id);
-    if (it != vector_cache_.end() && properties_.data_invariant) {
+  if (properties_.data_invariant) {
+    if (const txt::SparseVector* cached = vectors_.Find(note.id)) {
       ++cache_hits_;
-      return it->second;
+      return *cached;
     }
   }
   txt::SparseVector vec;
@@ -84,11 +85,11 @@ txt::SparseVector SummaryInstance::VectorizeAnnotation(const ann::Annotation& no
     std::lock_guard<std::mutex> lock(kernel_mutex_);
     vec = vectorizer_->Vectorize(note.body);
   }
-  std::lock_guard<std::mutex> lock(cache_mutex_);
   ++cache_misses_;
-  // emplace (not assignment): a vector already cached for this id is
+  // First writer wins: a vector already published for this id is
   // identical, and readers may hold GetVector pointers into it.
-  vector_cache_.emplace(note.id, vec);
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  vectors_.Publish(note.id, vec);
   return vec;
 }
 
@@ -117,29 +118,76 @@ std::vector<std::string> SummaryInstance::TokenizeBody(const ann::Annotation& no
 void SummaryInstance::CommitTokens(ann::AnnotationId id,
                                    const std::vector<std::string>& tokens) {
   if (vectorizer_ == nullptr) return;
-  std::unique_lock<std::mutex> cache_lock(cache_mutex_);
-  if (vector_cache_.contains(id)) return;  // Shared annotation: commit once.
-  cache_lock.unlock();
+  if (vectors_.Find(id) != nullptr) return;  // Shared annotation: commit once.
   txt::SparseVector vec;
   {
     std::lock_guard<std::mutex> lock(kernel_mutex_);
     vec = vectorizer_->VectorizeTokens(tokens);
   }
-  cache_lock.lock();
-  vector_cache_.emplace(id, std::move(vec));
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  vectors_.Publish(id, std::move(vec));
 }
 
 const txt::SparseVector* SummaryInstance::GetVector(mining::DocId doc) const {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  auto it = vector_cache_.find(doc);
-  return it == vector_cache_.end() ? nullptr : &it->second;
+  return vectors_.Find(doc);
 }
 
-void SummaryInstance::ClearCaches() {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  label_cache_.clear();
-  vector_cache_.clear();
-  snippet_cache_.clear();
+namespace {
+constexpr unsigned kChunkBits = 10;
+constexpr size_t kChunkSize = size_t{1} << kChunkBits;
+constexpr uint64_t kMaxIds = uint64_t{1} << 32;
+}  // namespace
+
+struct SummaryInstance::VectorStore::Chunk {
+  std::array<txt::SparseVector, kChunkSize> vectors;
+  std::array<std::atomic<bool>, kChunkSize> published{};
+};
+
+struct SummaryInstance::VectorStore::Directory {
+  explicit Directory(size_t n) : chunks(new std::atomic<Chunk*>[n]()), size(n) {}
+  std::unique_ptr<std::atomic<Chunk*>[]> chunks;
+  size_t size;
+};
+
+SummaryInstance::VectorStore::VectorStore() = default;
+SummaryInstance::VectorStore::~VectorStore() = default;
+
+const txt::SparseVector* SummaryInstance::VectorStore::Find(uint64_t id) const {
+  const Directory* dir = directory_.load(std::memory_order_acquire);
+  uint64_t chunk_index = id >> kChunkBits;
+  if (dir == nullptr || chunk_index >= dir->size) return nullptr;
+  const Chunk* chunk = dir->chunks[chunk_index].load(std::memory_order_acquire);
+  if (chunk == nullptr) return nullptr;
+  size_t slot = id & (kChunkSize - 1);
+  return chunk->published[slot].load(std::memory_order_acquire) ? &chunk->vectors[slot]
+                                                                 : nullptr;
+}
+
+void SummaryInstance::VectorStore::Publish(uint64_t id, txt::SparseVector vec) {
+  if (id >= kMaxIds) return;
+  uint64_t chunk_index = id >> kChunkBits;
+  Directory* dir = directories_.empty() ? nullptr : directories_.back().get();
+  if (dir == nullptr || chunk_index >= dir->size) {
+    size_t size = std::max<size_t>(chunk_index + 1, dir == nullptr ? 16 : 2 * dir->size);
+    auto grown = std::make_unique<Directory>(size);
+    for (size_t i = 0; dir != nullptr && i < dir->size; ++i) {
+      grown->chunks[i].store(dir->chunks[i].load(std::memory_order_relaxed),
+                             std::memory_order_relaxed);
+    }
+    dir = grown.get();
+    directories_.push_back(std::move(grown));
+    directory_.store(dir, std::memory_order_release);
+  }
+  Chunk* chunk = dir->chunks[chunk_index].load(std::memory_order_relaxed);
+  if (chunk == nullptr) {
+    chunks_.push_back(std::make_unique<Chunk>());
+    chunk = chunks_.back().get();
+    dir->chunks[chunk_index].store(chunk, std::memory_order_release);
+  }
+  size_t slot = id & (kChunkSize - 1);
+  if (chunk->published[slot].load(std::memory_order_relaxed)) return;
+  chunk->vectors[slot] = std::move(vec);
+  chunk->published[slot].store(true, std::memory_order_release);
 }
 
 }  // namespace insightnotes::core

@@ -7,6 +7,7 @@
 #ifndef INSIGHTNOTES_CORE_SUMMARY_INSTANCE_H_
 #define INSIGHTNOTES_CORE_SUMMARY_INSTANCE_H_
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -76,7 +77,8 @@ class SummaryInstance : public mining::DocVectorStore {
   // vectorizer mutates the shared vocabulary and is serialized on a kernel
   // mutex. For ingest that must be byte-identical to serial execution, the
   // vocabulary must be grown in deterministic order first — see
-  // TokenizeBody/CommitTokens below.
+  // TokenizeBody/CommitTokens below. GetVector takes no lock, so query
+  // threads resolve member vectors while the writer publishes new ones.
 
   /// Class label index for `note` (Classifier instances).
   size_t ClassifyAnnotation(const ann::Annotation& note);
@@ -106,18 +108,16 @@ class SummaryInstance : public mining::DocVectorStore {
   void CommitTokens(ann::AnnotationId id, const std::vector<std::string>& tokens);
 
   /// Cache-efficiency counters (experiment E5).
-  uint64_t cache_hits() const { return cache_hits_; }
-  uint64_t cache_misses() const { return cache_misses_; }
-  void ResetCacheCounters() { cache_hits_ = cache_misses_ = 0; }
-
-  /// Drops all summarize-once cache entries (used by ablation benches on
-  /// classifier/snippet instances; do NOT clear a cluster instance's caches
-  /// while cluster objects for it are alive — they resolve member vectors
-  /// through this store).
-  void ClearCaches();
+  uint64_t cache_hits() const { return cache_hits_.load(std::memory_order_relaxed); }
+  uint64_t cache_misses() const { return cache_misses_.load(std::memory_order_relaxed); }
+  void ResetCacheCounters() {
+    cache_hits_.store(0, std::memory_order_relaxed);
+    cache_misses_.store(0, std::memory_order_relaxed);
+  }
 
   /// mining::DocVectorStore: vector of an annotation previously passed to
-  /// VectorizeAnnotation.
+  /// VectorizeAnnotation or CommitTokens. Lock-free; the pointer stays valid
+  /// for the instance's lifetime.
   const txt::SparseVector* GetVector(mining::DocId doc) const override;
 
  private:
@@ -125,6 +125,34 @@ class SummaryInstance : public mining::DocVectorStore {
       : name_(std::move(name)), type_(type), properties_(properties) {}
 
   friend class ClusterObject;
+
+  /// Append-only store of term vectors indexed by dense annotation id: a
+  /// directory of fixed-size chunks, each slot a vector plus a published
+  /// flag. Publish (callers serialize it under cache_mutex_) fills a slot
+  /// and sets its flag with a release store; Find is a chain of acquire
+  /// loads (directory, chunk, flag) and takes no lock. Chunks never move
+  /// and a published slot is never rewritten, so Find's pointers stay
+  /// valid. A grown directory replaces the old one, which is kept until
+  /// destruction for readers that still hold it.
+  class VectorStore {
+   public:
+    VectorStore();
+    ~VectorStore();
+
+    const txt::SparseVector* Find(uint64_t id) const;
+    /// Stores `vec` for `id` unless a vector is already published there
+    /// (first writer wins). Ids at or above 2^32 are not retained.
+    void Publish(uint64_t id, txt::SparseVector vec);
+
+   private:
+    struct Chunk;
+    struct Directory;
+
+    std::atomic<const Directory*> directory_{nullptr};
+    // Owned storage; touched only by Publish.
+    std::vector<std::unique_ptr<Directory>> directories_;
+    std::vector<std::unique_ptr<Chunk>> chunks_;
+  };
 
   std::string name_;
   SummaryTypeKind type_;
@@ -135,18 +163,18 @@ class SummaryInstance : public mining::DocVectorStore {
   std::unique_ptr<mining::SnippetExtractor> extractor_;
   double cluster_threshold_ = 0.35;
 
-  // Summarize-once caches, keyed by annotation id. Guarded by cache_mutex_
-  // (concurrent ingest shards hit them for shared annotations); cached
-  // values are never mutated after insertion, so pointers handed out by
-  // GetVector stay valid without the lock.
-  mutable std::mutex cache_mutex_;
+  // Summarize-once caches, keyed by annotation id. cache_mutex_ guards the
+  // label and snippet maps (concurrent ingest shards hit them for shared
+  // annotations) and serializes writers of vectors_, whose readers take no
+  // lock.
+  std::mutex cache_mutex_;
   // Serializes the vectorizer (it mutates the shared vocabulary).
   std::mutex kernel_mutex_;
   std::unordered_map<ann::AnnotationId, size_t> label_cache_;
-  std::unordered_map<ann::AnnotationId, txt::SparseVector> vector_cache_;
+  VectorStore vectors_;
   std::unordered_map<ann::AnnotationId, std::string> snippet_cache_;
-  uint64_t cache_hits_ = 0;
-  uint64_t cache_misses_ = 0;
+  std::atomic<uint64_t> cache_hits_{0};
+  std::atomic<uint64_t> cache_misses_{0};
 };
 
 }  // namespace insightnotes::core

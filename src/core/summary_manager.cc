@@ -376,27 +376,6 @@ Status SummaryManager::RebuildRow(rel::TableId table, rel::RowId row) {
   return Status::OK();
 }
 
-Status SummaryManager::RebuildTable(rel::TableId table) {
-  std::vector<rel::RowId> rows;
-  store_->ScanTable(table, [&](rel::RowId row, const ann::Attachment&) {
-    if (rows.empty() || rows.back() != row) rows.push_back(row);
-    return true;
-  });
-  // Also clear rows whose objects exist but no longer have annotations.
-  for (auto it = objects_.begin(); it != objects_.end();) {
-    if (it->first.first == table &&
-        !std::binary_search(rows.begin(), rows.end(), it->first.second)) {
-      it = objects_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (rel::RowId row : rows) {
-    INSIGHTNOTES_RETURN_IF_ERROR(RebuildRow(table, row));
-  }
-  return Status::OK();
-}
-
 Result<std::vector<std::unique_ptr<SummaryObject>>> SummaryManager::SummariesFor(
     rel::TableId table, rel::RowId row) const {
   std::vector<std::unique_ptr<SummaryObject>> out;

@@ -128,9 +128,6 @@ class SummaryManager {
   /// baseline of experiment E1, and the unarchive path).
   Status RebuildRow(rel::TableId table, rel::RowId row);
 
-  /// Rebuilds every annotated row of `table`.
-  Status RebuildTable(rel::TableId table);
-
   // --- Query-time access ----------------------------------------------------
   /// Deep copies of the row's summary objects (scan operators take these
   /// into the pipeline). Rows without annotations get empty objects, one

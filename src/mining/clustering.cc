@@ -1,8 +1,24 @@
 #include "mining/clustering.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cmath>
 
 namespace insightnotes::mining {
+
+namespace {
+
+// Debug check of the ClusterSet precondition: every value is a whole
+// number small enough that sums of them stay exact in a double.
+[[maybe_unused]] bool IsExactCounts(const txt::SparseVector& vec) {
+  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+  for (const txt::SparseVector::Entry& e : vec.entries()) {
+    if (e.value != std::trunc(e.value) || std::fabs(e.value) >= kMaxExact) return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 txt::SparseVector TextVectorizer::Vectorize(std::string_view text) {
   return VectorizeTokens(tokenizer_.Tokenize(text));
@@ -28,6 +44,7 @@ const txt::SparseVector* ClusterSet::VectorOf(DocId doc) const {
 }
 
 Result<size_t> ClusterSet::Add(DocId doc, const txt::SparseVector& vec) {
+  assert(IsExactCounts(vec) && "ClusterSet vectors must hold integer counts");
   if (Contains(doc)) {
     return Status::AlreadyExists("document " + std::to_string(doc) +
                                  " already clustered");
@@ -183,23 +200,16 @@ bool ClusterSet::SameGrouping(const ClusterSet& other) const {
 }
 
 void ClusterSet::ElectRepresentative(ClusterGroup* group) const {
-  // Election measures against a canonical centroid refolded from the member
-  // vectors in ascending id order, not against centroid_sum: the maintained
-  // sum accumulates float error in whatever order Add/Merge folded vectors,
-  // which differs between serial and parallel (partial-state) plans. The
-  // canonical centroid makes the representative a pure function of the
-  // member set, so byte-identical membership yields an identical choice.
-  txt::SparseVector centroid;
-  for (DocId doc : group->members) {
-    const txt::SparseVector* vec = VectorOf(doc);
-    if (vec != nullptr) centroid.AddScaled(*vec, 1.0);
-  }
+  // centroid_sum is an exact sum of integer counts (see the precondition on
+  // ClusterSet), so it equals a refold of the member vectors in any order
+  // and the representative is a pure function of the member set.
+  double centroid_norm = group->centroid_sum.Norm();
   double best_sim = -1.0;
   DocId best = group->members.empty() ? 0 : group->members.front();
   for (DocId doc : group->members) {
     const txt::SparseVector* vec = VectorOf(doc);
     if (vec == nullptr) continue;
-    double sim = centroid.Cosine(*vec);
+    double sim = group->centroid_sum.Cosine(*vec, centroid_norm);
     if (sim > best_sim) {
       best_sim = sim;
       best = doc;

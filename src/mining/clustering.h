@@ -79,6 +79,12 @@ struct ClusterGroup {
   }
 };
 
+/// Precondition: every vector handed to a ClusterSet holds whole-number
+/// term counts (as SparseVector::FromTokens builds them) below 2^53. Sums
+/// and differences of such vectors are exact in double arithmetic, so each
+/// group's maintained centroid_sum equals a fresh refold of its members no
+/// matter in which order Add/Remove/Merge folded them; representative
+/// election measures against it directly. Debug builds assert this in Add.
 class ClusterSet {
  public:
   /// Documents join the most similar existing group when cosine similarity

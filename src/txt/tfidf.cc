@@ -62,6 +62,28 @@ double SparseVector::Get(TermId id) const {
 }
 
 void SparseVector::AddScaled(const SparseVector& other, double scale) {
+  // Fast path: every term of `other` is already present (removing a member
+  // from a centroid, folding a subgroup into its supergroup). Update in
+  // place and compact out entries that cancel; no allocation.
+  bool subset = true;
+  for (size_t i = 0, j = 0; subset && j < other.entries_.size(); ++i, ++j) {
+    while (i < entries_.size() && entries_[i].term < other.entries_[j].term) ++i;
+    subset = i < entries_.size() && entries_[i].term == other.entries_[j].term;
+  }
+  if (subset) {
+    size_t out = 0;
+    size_t j = 0;
+    for (Entry e : entries_) {
+      if (j < other.entries_.size() && other.entries_[j].term == e.term) {
+        e.value = e.value + other.entries_[j++].value * scale;
+        if (std::fabs(e.value) < kEpsilon) continue;
+      }
+      entries_[out++] = e;
+    }
+    entries_.resize(out);
+    return;
+  }
+
   std::vector<Entry> merged;
   merged.reserve(entries_.size() + other.entries_.size());
   size_t i = 0;
@@ -109,10 +131,13 @@ double SparseVector::Norm() const {
 }
 
 double SparseVector::Cosine(const SparseVector& other) const {
-  double na = Norm();
-  double nb = other.Norm();
-  if (na < kEpsilon || nb < kEpsilon) return 0.0;
-  double c = Dot(other) / (na * nb);
+  return Cosine(other, Norm());
+}
+
+double SparseVector::Cosine(const SparseVector& other, double norm) const {
+  double other_norm = other.Norm();
+  if (norm < kEpsilon || other_norm < kEpsilon) return 0.0;
+  double c = Dot(other) / (norm * other_norm);
   return std::clamp(c, 0.0, 1.0);
 }
 

@@ -30,7 +30,9 @@ class SparseVector {
   void Set(TermId id, double value);
   double Get(TermId id) const;
 
-  /// this += other * scale.
+  /// this += other * scale. Entries that fall below epsilon are dropped.
+  /// Updates in place (no allocation) when every term of `other` is
+  /// already present.
   void AddScaled(const SparseVector& other, double scale);
 
   double Dot(const SparseVector& other) const;
@@ -38,6 +40,9 @@ class SparseVector {
 
   /// Cosine similarity in [0, 1] for non-negative vectors; 0 if either is 0.
   double Cosine(const SparseVector& other) const;
+  /// Same, given this vector's Norm() precomputed (bit-identical result);
+  /// lets one vector be compared against many without renorming it.
+  double Cosine(const SparseVector& other, double norm) const;
 
   /// L2-normalized copy (zero vector stays zero).
   SparseVector Normalized() const;

@@ -170,7 +170,7 @@ TEST_F(SummaryManagerTest, RebuildMatchesIncremental) {
   Annotate(0, 8, "influenza signs");
   Annotate(0, 8, "wingspan large");
   std::string incremental = (*manager_->RowObjects(0, 8))[0]->Render();
-  ASSERT_TRUE(manager_->RebuildTable(0).ok());
+  ASSERT_TRUE(manager_->RebuildRow(0, 8).ok());
   std::string rebuilt = (*manager_->RowObjects(0, 8))[0]->Render();
   EXPECT_EQ(incremental, rebuilt);
 }

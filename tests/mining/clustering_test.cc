@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
+#include "common/random.h"
+
 namespace insightnotes::mining {
 namespace {
 
@@ -170,6 +176,171 @@ TEST_F(ClusteringTest, EmptyTextDocumentsCluster) {
   ASSERT_TRUE(cs.Add(2, V("")).ok());
   EXPECT_EQ(cs.NumGroups(), 2u);
 }
+
+// --- Property: maintained centroids and elections match a refold ----------
+
+/// Vectors by document id, serving as the ClusterSet's DocVectorStore.
+class MapStore : public DocVectorStore {
+ public:
+  const txt::SparseVector* GetVector(DocId doc) const override {
+    auto it = vectors_.find(doc);
+    return it == vectors_.end() ? nullptr : &it->second;
+  }
+  std::map<DocId, txt::SparseVector> vectors_;
+};
+
+/// Sum of the member vectors folded in ascending id order.
+txt::SparseVector Refold(const std::vector<DocId>& members, const MapStore& store) {
+  txt::SparseVector centroid;
+  for (DocId doc : members) centroid.AddScaled(*store.GetVector(doc), 1.0);
+  return centroid;
+}
+
+/// Reference election: the member closest to the refolded centroid, ties
+/// to the lowest id (the election ClusterSet made before it elected
+/// against the maintained centroid_sum).
+DocId OracleRepresentative(const std::vector<DocId>& members, const MapStore& store) {
+  txt::SparseVector centroid = Refold(members, store);
+  double best_sim = -1.0;
+  DocId best = members.front();
+  for (DocId doc : members) {
+    double sim = centroid.Cosine(*store.GetVector(doc));
+    if (sim > best_sim) {
+      best_sim = sim;
+      best = doc;
+    }
+  }
+  return best;
+}
+
+bool SameEntries(const txt::SparseVector& a, const txt::SparseVector& b) {
+  if (a.NumNonZero() != b.NumNonZero()) return false;
+  for (size_t i = 0; i < a.NumNonZero(); ++i) {
+    if (a.entries()[i].term != b.entries()[i].term ||
+        a.entries()[i].value != b.entries()[i].value) {
+      return false;
+    }
+  }
+  return true;
+}
+
+class ClusterPropertyTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  static constexpr DocId kDocs = 60;
+
+  void SetUp() override {
+    static const char* kWords[] = {"goose",   "swan",    "eating",  "stonewort", "lake",
+                                   "wingspan", "weight", "beak",    "influenza", "parasite",
+                                   "flying",  "nest",    "feather", "migration", "river"};
+    Random rng(GetParam());
+    TextVectorizer vectorizer;
+    for (DocId doc = 0; doc < kDocs; ++doc) {
+      // Documents draw from one of three overlapping topics, with repeats,
+      // so groups form, grow and bridge.
+      size_t topic = rng.Uniform(3) * 5;
+      std::string text;
+      size_t words = 1 + rng.Uniform(8);
+      for (size_t w = 0; w < words; ++w) {
+        text += kWords[(topic + rng.Uniform(7)) % std::size(kWords)];
+        text += ' ';
+      }
+      store_.vectors_[doc] = vectorizer.Vectorize(text);
+    }
+  }
+
+  /// Representatives by member list.
+  static std::map<std::vector<DocId>, DocId> Reps(const ClusterSet& cs) {
+    std::map<std::vector<DocId>, DocId> reps;
+    for (const ClusterGroup& g : cs.groups()) reps[g.members] = g.representative;
+    return reps;
+  }
+
+  /// Checks every group against the oracle after one operation. `removed`
+  /// is the document a Remove dropped (kDocs otherwise): its group re-elects
+  /// only when the representative itself left.
+  void CheckAgainstOracle(const ClusterSet& cs,
+                          const std::map<std::vector<DocId>, DocId>& before,
+                          DocId removed) {
+    for (const ClusterGroup& g : cs.groups()) {
+      ASSERT_TRUE(SameEntries(g.centroid_sum, Refold(g.members, store_)));
+      if (before.contains(g.members)) continue;  // Membership unchanged.
+      DocId expected = OracleRepresentative(g.members, store_);
+      if (removed != kDocs) {
+        std::vector<DocId> old_members = g.members;
+        old_members.insert(
+            std::lower_bound(old_members.begin(), old_members.end(), removed), removed);
+        auto it = before.find(old_members);
+        ASSERT_NE(it, before.end());
+        if (it->second != removed) expected = it->second;
+      }
+      ASSERT_EQ(g.representative, expected);
+    }
+  }
+
+  MapStore store_;
+};
+
+TEST_P(ClusterPropertyTest, CentroidAndRepresentativeMatchRefold) {
+  Random rng(GetParam() * 31 + 7);
+  ClusterSet cs(0.3, &store_);
+  for (int step = 0; step < 300; ++step) {
+    auto before = Reps(cs);
+    uint64_t op = rng.Uniform(10);
+    DocId removed = kDocs;
+    if (op < 5) {
+      DocId doc = rng.Uniform(kDocs);
+      if (cs.Contains(doc)) continue;
+      ASSERT_TRUE(cs.Add(doc, *store_.GetVector(doc)).ok());
+    } else if (op < 8) {
+      if (cs.NumDocuments() == 0) continue;
+      DocId doc = rng.Uniform(kDocs);
+      while (!cs.Contains(doc)) doc = (doc + 1) % kDocs;
+      ASSERT_TRUE(cs.Remove(doc).ok());
+      removed = doc;
+    } else {
+      // Merge a set built at a random threshold: it may share members with
+      // `cs`, bridge several of its groups, or be disjoint.
+      ClusterSet other(0.1 * static_cast<double>(rng.Uniform(7)), &store_);
+      size_t n = 1 + rng.Uniform(6);
+      for (size_t k = 0; k < n; ++k) {
+        DocId doc = rng.Uniform(kDocs);
+        if (other.Contains(doc)) continue;
+        ASSERT_TRUE(other.Add(doc, *store_.GetVector(doc)).ok());
+      }
+      ASSERT_TRUE(cs.Merge(other).ok());
+    }
+    CheckAgainstOracle(cs, before, removed);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST_P(ClusterPropertyTest, StandaloneModeMatchesStoreMode) {
+  // Without a store the set keeps its own copies of member vectors; the
+  // same operations must yield the same groups, centroids and elections.
+  Random rng(GetParam() * 17 + 3);
+  ClusterSet with_store(0.3, &store_);
+  ClusterSet standalone(0.3);
+  for (int step = 0; step < 200; ++step) {
+    DocId doc = rng.Uniform(kDocs);
+    if (with_store.Contains(doc)) {
+      ASSERT_TRUE(with_store.Remove(doc).ok());
+      ASSERT_TRUE(standalone.Remove(doc).ok());
+    } else {
+      ASSERT_TRUE(with_store.Add(doc, *store_.GetVector(doc)).ok());
+      ASSERT_TRUE(standalone.Add(doc, *store_.GetVector(doc)).ok());
+    }
+    ASSERT_EQ(with_store.NumGroups(), standalone.NumGroups());
+    for (size_t i = 0; i < with_store.NumGroups(); ++i) {
+      const ClusterGroup& a = with_store.groups()[i];
+      const ClusterGroup& b = standalone.groups()[i];
+      ASSERT_EQ(a.members, b.members);
+      ASSERT_EQ(a.representative, b.representative);
+      ASSERT_TRUE(SameEntries(a.centroid_sum, b.centroid_sum));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ClusterPropertyTest, ::testing::Range<uint64_t>(1, 41));
 
 }  // namespace
 }  // namespace insightnotes::mining

@@ -88,6 +88,48 @@ TEST(SparseVectorTest, AddScaledMerges) {
   EXPECT_DOUBLE_EQ(a.Get(4), 8.0);
 }
 
+TEST(SparseVectorTest, AddScaledSubsetUpdatesInPlace) {
+  // Every term of `b` is present in `a`: the in-place path must match the
+  // merge path term for term, dropping entries that cancel.
+  SparseVector a;
+  a.Set(1, 3.0);
+  a.Set(2, 2.0);
+  a.Set(5, 1.0);
+  a.Set(9, 4.0);
+  SparseVector b;
+  b.Set(2, 2.0);
+  b.Set(9, 1.0);
+  const SparseVector::Entry* data = a.entries().data();
+  a.AddScaled(b, -1.0);
+  EXPECT_EQ(a.entries().data(), data);  // No reallocation.
+  ASSERT_EQ(a.NumNonZero(), 3u);
+  EXPECT_EQ(a.Get(1), 3.0);
+  EXPECT_EQ(a.Get(2), 0.0);
+  EXPECT_EQ(a.Get(5), 1.0);
+  EXPECT_EQ(a.Get(9), 3.0);
+  // A term of `b` missing from `a` takes the merge path.
+  SparseVector c;
+  c.Set(7, 2.0);
+  a.AddScaled(c, 1.0);
+  ASSERT_EQ(a.NumNonZero(), 4u);
+  EXPECT_EQ(a.Get(7), 2.0);
+  // Adding the empty vector is a no-op.
+  a.AddScaled(SparseVector(), 1.0);
+  EXPECT_EQ(a.NumNonZero(), 4u);
+}
+
+TEST(SparseVectorTest, CosineWithPrecomputedNormIsBitIdentical) {
+  SparseVector a;
+  a.Set(1, 3.0);
+  a.Set(4, 1.0);
+  a.Set(6, 2.0);
+  SparseVector b;
+  b.Set(1, 1.0);
+  b.Set(6, 5.0);
+  EXPECT_EQ(a.Cosine(b, a.Norm()), a.Cosine(b));
+  EXPECT_EQ(a.Cosine(SparseVector(), a.Norm()), 0.0);
+}
+
 TEST(SparseVectorTest, AddScaledCancellationRemovesEntry) {
   SparseVector a;
   a.Set(3, 5.0);
