@@ -1,9 +1,9 @@
 // Experiment E3 — zoom-in performance under the result cache (Section 2.2).
 //
 // A pool of query results with heterogeneous sizes and recomputation costs
-// competes for a limited disk-backed cache; zoom-in references follow a
-// Zipf-skewed pattern. Policies compared: no cache, LRU, LFU and the
-// paper's RCO.
+// competes for a limited memory-resident cache whose entries are charged
+// their serialized size; zoom-in references follow a Zipf-skewed pattern.
+// Policies compared: no cache, LRU, LFU and the paper's RCO.
 //
 // Expected shape: any cache beats re-execution by orders of magnitude on
 // hits; under budget pressure with mixed costs/sizes, RCO achieves a
@@ -11,6 +11,8 @@
 // small, expensive-to-recompute results.
 
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 #include "bench/bench_util.h"
 #include "common/random.h"
@@ -38,7 +40,7 @@ core::ResultSnapshot MakeSnapshot(size_t rows, size_t row_bytes) {
 }
 
 struct ResultPoolEntry {
-  core::ResultSnapshot snapshot;
+  std::shared_ptr<const core::ResultSnapshot> snapshot;
   double cost_seconds;  // Simulated recompute cost.
   size_t size;
 };
@@ -56,8 +58,8 @@ std::vector<ResultPoolEntry> MakeResultPool(size_t n, uint64_t seed) {
     size_t rows = small_expensive ? 2 + rng.Uniform(4) : 40 + rng.Uniform(60);
     entry.cost_seconds = small_expensive ? 0.05 + rng.NextDouble() * 0.2
                                          : 0.001 + rng.NextDouble() * 0.004;
-    entry.snapshot = MakeSnapshot(rows, 256);
-    entry.size = entry.snapshot.SizeBytes();
+    entry.snapshot = std::make_shared<const core::ResultSnapshot>(MakeSnapshot(rows, 256));
+    entry.size = entry.snapshot->SizeBytes();
     pool.push_back(std::move(entry));
   }
   return pool;
@@ -80,11 +82,10 @@ void BM_ZoomInPolicy(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     core::ZoomInCache cache(policy, budget_kb * 1024);
-    Check(cache.Init(), "cache init");
     Random rng(7);
     // Warm: admit everything once (results were executed once by the user).
     for (size_t i = 0; i < pool.size(); ++i) {
-      Check(cache.Put(i, pool[i].snapshot, pool[i].cost_seconds), "put");
+      cache.Put(i, pool[i].snapshot, pool[i].cost_seconds);
     }
     double session_cost = 0.0;
     state.ResumeTiming();
@@ -94,8 +95,7 @@ void BM_ZoomInPolicy(benchmark::State& state) {
       if (!snapshot.ok()) {
         // Miss: simulated re-execution cost, then re-admit.
         session_cost += pool[target].cost_seconds;
-        Check(cache.Put(target, pool[target].snapshot, pool[target].cost_seconds),
-              "readmit");
+        cache.Put(target, pool[target].snapshot, pool[target].cost_seconds);
       }
       benchmark::DoNotOptimize(snapshot.ok());
     }
@@ -131,18 +131,18 @@ void BM_EvictionHeavyPut(benchmark::State& state) {
   auto policy = static_cast<core::CachePolicy>(state.range(0));
   size_t n = static_cast<size_t>(state.range(1));
 
-  core::ResultSnapshot snapshot = MakeSnapshot(/*rows=*/1, /*row_bytes=*/64);
-  size_t entry_size = snapshot.SizeBytes();
+  auto snapshot = std::make_shared<const core::ResultSnapshot>(
+      MakeSnapshot(/*rows=*/1, /*row_bytes=*/64));
+  size_t entry_size = snapshot->SizeBytes();
   // Budget fits exactly n entries: the (n+1)-th admission must evict.
   core::ZoomInCache cache(policy, entry_size * n);
-  Check(cache.Init(), "cache init");
   Random rng(3);
   for (size_t i = 0; i < n; ++i) {
-    Check(cache.Put(i, snapshot, 0.01 + rng.NextDouble()), "warm");
+    cache.Put(i, snapshot, 0.01 + rng.NextDouble());
   }
   core::QueryId next_qid = n;
   for (auto _ : state) {
-    Check(cache.Put(next_qid++, snapshot, 0.01 + rng.NextDouble()), "put");
+    cache.Put(next_qid++, snapshot, 0.01 + rng.NextDouble());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
   state.SetLabel(std::string(core::CachePolicyToString(policy)) + "/n=" +

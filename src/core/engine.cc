@@ -126,8 +126,7 @@ Status Engine::InitStorage() {
   manager_ = std::make_unique<SummaryManager>(store_.get());
   cache_ = std::make_unique<ZoomInCache>(options_.cache_policy,
                                          options_.cache_budget_bytes,
-                                         options_.cache_path, options_.rco_weights);
-  INSIGHTNOTES_RETURN_IF_ERROR(cache_->Init());
+                                         options_.rco_weights);
 
   bool adopt_index_checkpoint = false;
   ann::WalIndexCheckpointRecord index_checkpoint;
@@ -1098,9 +1097,8 @@ Result<QueryResult> Engine::Execute(std::unique_ptr<exec::Operator> plan,
   stored->snapshot = snap;
   INSIGHTNOTES_ASSIGN_OR_RETURN(ResultSnapshot snapshot,
                                 ResultSnapshot::Capture(result.schema, result.rows));
-  INSIGHTNOTES_RETURN_IF_ERROR(cache_->Put(result.qid, snapshot,
-                                           result.execute_seconds,
-                                           EpochKeyOf(*stored)));
+  cache_->Put(result.qid, std::make_shared<const ResultSnapshot>(std::move(snapshot)),
+              result.execute_seconds, EpochKeyOf(*stored));
   stored->plan = std::move(plan);
   {
     std::lock_guard<std::mutex> lock(queries_mutex_);
@@ -1122,7 +1120,8 @@ uint64_t Engine::EpochKeyOf(const StoredQuery& stored) {
                                     : ZoomInCache::kAnyEpoch;
 }
 
-Result<ResultSnapshot> Engine::SnapshotFor(QueryId qid, bool* from_cache) {
+Result<std::shared_ptr<const ResultSnapshot>> Engine::SnapshotFor(QueryId qid,
+                                                                  bool* from_cache) {
   std::shared_ptr<StoredQuery> stored;
   {
     std::lock_guard<std::mutex> lock(queries_mutex_);
@@ -1183,9 +1182,10 @@ Result<ResultSnapshot> Engine::SnapshotFor(QueryId qid, bool* from_cache) {
     }
     return executed;
   }
-  INSIGHTNOTES_ASSIGN_OR_RETURN(ResultSnapshot snapshot,
+  INSIGHTNOTES_ASSIGN_OR_RETURN(ResultSnapshot captured,
                                 ResultSnapshot::Capture(stored->schema, rows));
-  INSIGHTNOTES_RETURN_IF_ERROR(cache_->Put(qid, snapshot, stored->cost, epoch_key));
+  auto snapshot = std::make_shared<const ResultSnapshot>(std::move(captured));
+  cache_->Put(qid, snapshot, stored->cost, epoch_key);
   return snapshot;
 }
 
@@ -1208,17 +1208,19 @@ Result<ZoomInResult> Engine::ZoomIn(const ZoomInRequest& request) {
     auto it = queries_.find(request.qid);
     if (it != queries_.end()) pinned = it->second->snapshot;
   }
-  INSIGHTNOTES_ASSIGN_OR_RETURN(ResultSnapshot snapshot,
+  // Held for the whole call: the matches below point into it, and a
+  // concurrent eviction only drops the cache's reference.
+  INSIGHTNOTES_ASSIGN_OR_RETURN(std::shared_ptr<const ResultSnapshot> snapshot,
                                 SnapshotFor(request.qid, &result.served_from_cache));
-  INSIGHTNOTES_ASSIGN_OR_RETURN(auto matches, ResolveZoomIn(snapshot, request));
+  INSIGHTNOTES_ASSIGN_OR_RETURN(auto matches, ResolveZoomIn(*snapshot, request));
   result.rows.reserve(matches.size());
-  for (auto& [row_index, component] : matches) {
+  for (const auto& [row_index, component] : matches) {
     ZoomInRowResult row;
     row.row_index = row_index;
-    row.tuple = snapshot.rows[row_index].tuple;
-    row.component_label = component.label;
-    row.annotations.reserve(component.ids.size());
-    for (ann::AnnotationId id : component.ids) {
+    row.tuple = snapshot->rows[row_index].tuple;
+    row.component_label = component->label;
+    row.annotations.reserve(component->ids.size());
+    for (ann::AnnotationId id : component->ids) {
       INSIGHTNOTES_ASSIGN_OR_RETURN(ann::Annotation note, store_->Get(id));
       // Bodies are immutable once stored, but archived-ness is curation
       // state: report it as of the query's epoch, not live, so the zoom-in

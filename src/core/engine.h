@@ -47,7 +47,6 @@ struct EngineOptions {
   size_t buffer_pool_pages = 1024;
   CachePolicy cache_policy = CachePolicy::kRco;
   size_t cache_budget_bytes = 4 << 20;
-  std::string cache_path;         // "" = in-memory cache backing.
   RcoWeights rco_weights;
   /// Reopen an existing database file instead of truncating it: Init audits
   /// the page file's checksums, then rebuilds the store by replaying the
@@ -342,7 +341,10 @@ class Engine {
     std::mutex exec_mutex;
   };
 
-  Result<ResultSnapshot> SnapshotFor(QueryId qid, bool* from_cache);
+  /// The result snapshot of `qid`: the cached one, or a re-execution of the
+  /// retained plan at its pinned epoch (re-admitted to the cache).
+  Result<std::shared_ptr<const ResultSnapshot>> SnapshotFor(QueryId qid,
+                                                            bool* from_cache);
 
   /// Cache key for a stored query's result (kAnyEpoch when it ran live).
   static uint64_t EpochKeyOf(const StoredQuery& stored);

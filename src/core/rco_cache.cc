@@ -1,7 +1,7 @@
 #include "core/rco_cache.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <vector>
 
 namespace insightnotes::core {
 
@@ -19,234 +19,145 @@ std::string_view CachePolicyToString(CachePolicy policy) {
   return "?";
 }
 
-ZoomInCache::ZoomInCache(CachePolicy policy, size_t budget_bytes,
-                         const std::string& path, RcoWeights weights)
-    : policy_(policy), budget_(budget_bytes), weights_(weights), path_(path) {}
+ZoomInCache::ZoomInCache(CachePolicy policy, size_t budget_bytes, RcoWeights weights)
+    : policy_(policy), budget_(budget_bytes), weights_(weights) {}
 
-ZoomInCache::~ZoomInCache() {
-  heap_.reset();
-  pool_.reset();
-  Status s = disk_.Close();
-  (void)s;
-  if (!path_.empty()) std::remove(path_.c_str());
-}
-
-Status ZoomInCache::Init() {
-  INSIGHTNOTES_RETURN_IF_ERROR(disk_.Open(path_));
-  // A small frame pool: cache entries stream through rather than reside.
-  pool_ = std::make_unique<storage::BufferPool>(&disk_, 64);
-  heap_ = std::make_unique<storage::HeapFile>(pool_.get());
-  return Status::OK();
-}
-
-std::array<std::unique_lock<std::mutex>, ZoomInCache::kNumShards>
-ZoomInCache::LockAll() const {
-  std::array<std::unique_lock<std::mutex>, kNumShards> locks;
-  for (size_t i = 0; i < kNumShards; ++i) {
-    locks[i] = std::unique_lock<std::mutex>(shards_[i].mutex);
+void ZoomInCache::Put(QueryId qid, std::shared_ptr<const ResultSnapshot> snapshot,
+                      double cost_seconds, uint64_t epoch) {
+  const size_t size = snapshot->SizeBytes();
+  // Snapshots displaced below are freed after the lock is released, so
+  // dropping a large result never stalls other sessions' lookups.
+  std::vector<std::shared_ptr<const ResultSnapshot>> released;
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (policy_ == CachePolicy::kNone || size > budget_) {
+    ++stats_.rejected;  // Larger than the whole cache: never admitted.
+    return;
   }
-  return locks;
-}
-
-size_t ZoomInCache::NumEntriesLocked() const {
-  size_t n = 0;
-  for (const Shard& shard : shards_) n += shard.entries.size();
-  return n;
-}
-
-Status ZoomInCache::Put(QueryId qid, const ResultSnapshot& snapshot,
-                        double cost_seconds, uint64_t epoch) {
-  if (policy_ == CachePolicy::kNone) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    return Status::OK();
+  // An existing entry for the same qid is replaced; it is pinned against
+  // eviction (MakeRoom skips it) and its bytes are discounted from the room
+  // calculation since they are reclaimed below.
+  auto existing = entries_.find(qid);
+  size_t reclaimable = existing != entries_.end() ? existing->second.size : 0;
+  const QueryId* pinned = existing != entries_.end() ? &qid : nullptr;
+  if (!MakeRoom(size, reclaimable, pinned, &released)) {
+    ++stats_.rejected;
+    return;  // Old snapshot (if any) remains cached.
   }
-  if (heap_ == nullptr) return Status::Internal("cache not initialized");
-  std::string bytes;
-  snapshot.Serialize(&bytes);
-  if (bytes.size() > budget_) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    return Status::OK();  // Larger than the whole cache: never admitted.
+  if (existing != entries_.end()) {
+    released.push_back(std::move(existing->second.snapshot));
+    stats_.bytes_used -= existing->second.size;
   }
-  // Insertion needs the global directory view (eviction scans every shard),
-  // so it takes all shard mutexes; concurrent Gets on other shards proceed.
-  auto locks = LockAll();
-  Shard& home = shards_[ShardOf(qid)];
-  // An existing entry for the same qid is replaced, but it must stay
-  // readable until the replacement has fully succeeded: it is pinned
-  // against eviction (MakeRoom skips it) and its bytes are discounted from
-  // the room calculation since they are reclaimed below.
-  auto existing = home.entries.find(qid);
-  size_t reclaimable = existing != home.entries.end() ? existing->second.size : 0;
-  const QueryId* pinned = existing != home.entries.end() ? &qid : nullptr;
-  if (!MakeRoom(bytes.size(), reclaimable, pinned)) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    return Status::OK();  // Old snapshot (if any) remains readable.
-  }
-  INSIGHTNOTES_ASSIGN_OR_RETURN(storage::RecordId record, heap_->Append(bytes));
-  if (existing != home.entries.end()) {
-    // The replacement is durable; now drop the old backing record.
-    Status s = heap_->Delete(existing->second.record);
-    bytes_used_.fetch_sub(existing->second.size, std::memory_order_relaxed);
-    home.entries.erase(existing);
-    if (!s.ok()) return s;
-  }
-  Entry entry;
-  entry.record = record;
-  entry.size = bytes.size();
+  Entry& entry = entries_[qid];
+  entry.snapshot = std::move(snapshot);
+  entry.size = size;
   entry.cost = cost_seconds;
   entry.epoch = epoch;
-  entry.last_ref = tick_.fetch_add(1, std::memory_order_relaxed) + 1;
+  entry.last_ref = ++tick_;
   entry.ref_count = 1;
-  home.entries[qid] = entry;
-  bytes_used_.fetch_add(entry.size, std::memory_order_relaxed);
-  insertions_.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
+  stats_.bytes_used += size;
+  ++stats_.insertions;
 }
 
-Result<ResultSnapshot> ZoomInCache::Get(QueryId qid, uint64_t epoch) {
-  Shard& home = shards_[ShardOf(qid)];
-  // The shard mutex is held across the backing read: Put/eviction take all
-  // shard mutexes, so the record cannot be deleted from under us.
-  std::unique_lock<std::mutex> lock(home.mutex);
-  auto it = home.entries.find(qid);
-  if (it == home.entries.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+Result<std::shared_ptr<const ResultSnapshot>> ZoomInCache::Get(QueryId qid,
+                                                               uint64_t epoch) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = entries_.find(qid);
+  if (it == entries_.end()) {
+    ++stats_.misses;
     return Status::NotFound("result " + std::to_string(qid) + " not cached");
   }
-  if (epoch != kAnyEpoch && it->second.epoch != kAnyEpoch &&
-      it->second.epoch != epoch) {
+  Entry& e = it->second;
+  if (epoch != kAnyEpoch && e.epoch != kAnyEpoch && e.epoch != epoch) {
     // Cached at a different epoch than the caller pinned: serving it would
     // mix summary versions, so it is a miss (the caller re-executes).
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.misses;
     return Status::NotFound("result " + std::to_string(qid) + " cached at epoch " +
-                            std::to_string(it->second.epoch) + ", not " +
+                            std::to_string(e.epoch) + ", not " +
                             std::to_string(epoch));
   }
-  // Read first: the hit is counted and recency/frequency bumped only for a
-  // snapshot the caller actually receives. A failed backing read (or a
-  // corrupt snapshot) is a miss and leaves the entry's metadata untouched.
-  auto bytes = heap_->Get(it->second.record);
-  if (!bytes.ok()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return bytes.status();
-  }
-  auto snapshot = ResultSnapshot::Deserialize(*bytes);
-  if (!snapshot.ok()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return snapshot.status();
-  }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  it->second.last_ref = tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-  ++it->second.ref_count;
-  return snapshot;
-}
-
-Status ZoomInCache::CorruptBackingRecordForTest(QueryId qid) {
-  Shard& home = shards_[ShardOf(qid)];
-  std::unique_lock<std::mutex> lock(home.mutex);
-  auto it = home.entries.find(qid);
-  if (it == home.entries.end()) {
-    return Status::NotFound("result " + std::to_string(qid) + " not cached");
-  }
-  return heap_->Delete(it->second.record);
+  ++stats_.hits;
+  e.last_ref = ++tick_;
+  ++e.ref_count;
+  return e.snapshot;
 }
 
 bool ZoomInCache::Contains(QueryId qid) const {
-  const Shard& home = shards_[ShardOf(qid)];
-  std::unique_lock<std::mutex> lock(home.mutex);
-  return home.entries.contains(qid);
+  std::lock_guard<std::mutex> lock(mutex_);
+  return entries_.contains(qid);
 }
 
 CacheStats ZoomInCache::stats() const {
-  CacheStats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.insertions = insertions_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
-  s.rejected = rejected_.load(std::memory_order_relaxed);
-  s.bytes_used = bytes_used_.load(std::memory_order_relaxed);
-  return s;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return stats_;
 }
 
-bool ZoomInCache::MakeRoom(size_t needed, size_t reclaimable, const QueryId* exclude) {
-  while (bytes_used_.load(std::memory_order_relaxed) - reclaimable + needed >
-         budget_) {
+bool ZoomInCache::MakeRoom(size_t needed, size_t reclaimable, const QueryId* exclude,
+                           std::vector<std::shared_ptr<const ResultSnapshot>>* released) {
+  while (stats_.bytes_used - reclaimable + needed > budget_) {
     // The pinned entry (the one being replaced) is not an eviction
     // candidate.
-    if (NumEntriesLocked() <= (exclude != nullptr ? 1u : 0u)) return false;
-    QueryId victim = PickVictim(exclude);
-    Shard& shard = shards_[ShardOf(victim)];
-    auto it = shard.entries.find(victim);
-    Status s = heap_->Delete(it->second.record);
-    if (!s.ok()) return false;
-    bytes_used_.fetch_sub(it->second.size, std::memory_order_relaxed);
-    shard.entries.erase(it);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+    if (entries_.size() <= (exclude != nullptr ? 1u : 0u)) return false;
+    auto it = entries_.find(PickVictim(exclude));
+    released->push_back(std::move(it->second.snapshot));
+    stats_.bytes_used -= it->second.size;
+    entries_.erase(it);
+    ++stats_.evictions;
   }
   return true;
 }
 
 QueryId ZoomInCache::PickVictim(const QueryId* exclude) const {
   // Hoisted normalization pre-pass: one O(n) scan per eviction instead of
-  // one per candidate (PickVictim used to be O(n^2) under kRco).
+  // one per candidate.
   double max_cost = 1e-9;
   size_t max_size = 1;
   if (policy_ == CachePolicy::kRco) {
-    for (const Shard& shard : shards_) {
-      for (const auto& [qid, e] : shard.entries) {
-        max_cost = std::max(max_cost, e.cost);
-        max_size = std::max(max_size, e.size);
-      }
+    for (const auto& [qid, e] : entries_) {
+      max_cost = std::max(max_cost, e.cost);
+      max_size = std::max(max_size, e.size);
     }
   }
-  // Ties break toward the smaller qid: shards are iterated out of qid
-  // order, so the tie-break must be explicit to keep victim selection
-  // deterministic (and identical to the pre-sharding single-map scan).
+  // The directory iterates in qid order and only a strictly better
+  // candidate replaces the current one, so ties go to the smaller qid.
   bool have_victim = false;
   QueryId victim = 0;
   uint64_t best_tick = 0;
   double best_score = 0.0;
-  for (const Shard& shard : shards_) {
-    for (const auto& [qid, e] : shard.entries) {
-      if (exclude != nullptr && qid == *exclude) continue;
-      switch (policy_) {
-        case CachePolicy::kLru:
-          if (!have_victim || e.last_ref < best_tick ||
-              (e.last_ref == best_tick && qid < victim)) {
-            best_tick = e.last_ref;
-            victim = qid;
-          }
-          break;
-        case CachePolicy::kLfu:
-          if (!have_victim || e.ref_count < best_tick ||
-              (e.ref_count == best_tick && qid < victim)) {
-            best_tick = e.ref_count;
-            victim = qid;
-          }
-          break;
-        case CachePolicy::kRco: {
-          double score = RcoScore(e, max_cost, max_size);
-          if (!have_victim || score < best_score ||
-              (score == best_score && qid < victim)) {
-            best_score = score;
-            victim = qid;
-          }
-          break;
+  for (const auto& [qid, e] : entries_) {
+    if (exclude != nullptr && qid == *exclude) continue;
+    switch (policy_) {
+      case CachePolicy::kLru:
+        if (!have_victim || e.last_ref < best_tick) {
+          best_tick = e.last_ref;
+          victim = qid;
         }
-        case CachePolicy::kNone:
-          if (!have_victim || qid < victim) victim = qid;
-          break;
+        break;
+      case CachePolicy::kLfu:
+        if (!have_victim || e.ref_count < best_tick) {
+          best_tick = e.ref_count;
+          victim = qid;
+        }
+        break;
+      case CachePolicy::kRco: {
+        double score = RcoScore(e, max_cost, max_size);
+        if (!have_victim || score < best_score) {
+          best_score = score;
+          victim = qid;
+        }
+        break;
       }
-      have_victim = true;
+      case CachePolicy::kNone:
+        if (!have_victim) victim = qid;
+        break;
     }
+    have_victim = true;
   }
   return victim;
 }
 
 double ZoomInCache::RcoScore(const Entry& e, double max_cost, size_t max_size) const {
   // Recency in (0, 1]: 1 for the most recent reference.
-  double age =
-      static_cast<double>(tick_.load(std::memory_order_relaxed) - e.last_ref);
+  double age = static_cast<double>(tick_ - e.last_ref);
   double recency = 1.0 / (1.0 + age);
   double complexity = e.cost / max_cost;
   double overhead = static_cast<double>(e.size) / static_cast<double>(max_size);

@@ -1,33 +1,32 @@
 // The zoom-in result cache (Section 2.2): recent query-result snapshots
-// compete for a limited disk-backed budget. Eviction is governed by the
-// paper's RCO policy — Recency, Complexity (cost to recompute the result),
-// Overhead (result size) — with LRU and LFU available as ablation baselines
-// and kNone disabling caching entirely.
+// compete for a limited budget. Eviction is governed by the paper's RCO
+// policy — Recency, Complexity (cost to recompute the result), Overhead
+// (result size) — with LRU and LFU available as ablation baselines and
+// kNone disabling caching entirely.
 //
-// Thread-safe: the directory is sharded by QID, each shard behind its own
-// mutex, so concurrent sessions probing distinct results do not serialize
-// on one lock. Get takes only its shard's mutex (and holds it across the
-// backing heap read, so an eviction can never delete the record mid-read);
-// Put / eviction need the global directory view and take every shard mutex
-// in ascending index order. Statistics are atomic counters read without any
-// lock via the by-value stats() snapshot.
+// The cache is memory-resident: each entry is an immutable decoded
+// snapshot behind a shared_ptr, charged its serialized size
+// (ResultSnapshot::SizeBytes) against the budget. A hit is a directory
+// lookup, a recency/frequency bump and a refcount increment; a caller that
+// holds a snapshot keeps it alive across its eviction or replacement, and
+// the snapshot is freed when the last holder drops it.
+//
+// Thread-safe: one mutex guards the directory and the counters. Every
+// critical section is a map operation (no I/O, no decode), so readers do
+// not wait behind anything slower than a concurrent eviction scan.
 
 #ifndef INSIGHTNOTES_CORE_RCO_CACHE_H_
 #define INSIGHTNOTES_CORE_RCO_CACHE_H_
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "core/zoom_in.h"
-#include "storage/buffer_pool.h"
-#include "storage/disk_manager.h"
-#include "storage/heap_file.h"
 
 namespace insightnotes::core {
 
@@ -35,9 +34,8 @@ enum class CachePolicy : uint8_t { kNone = 0, kLru = 1, kLfu = 2, kRco = 3 };
 
 std::string_view CachePolicyToString(CachePolicy policy);
 
-/// Point-in-time snapshot of the cache's atomic counters. Consistent per
-/// counter (each is a single atomic load), not across counters — two
-/// counters may straddle a concurrent operation.
+/// Point-in-time copy of the cache's counters, taken under the directory
+/// mutex (consistent across counters).
 struct CacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -62,39 +60,26 @@ class ZoomInCache {
   /// free to mean "executed against live state, no pinned epoch".
   static constexpr uint64_t kAnyEpoch = 0;
 
-  /// `budget_bytes` caps the sum of serialized snapshot sizes. `path` backs
-  /// the cache file ("" = in-memory backing, still exercising the same
-  /// page/heap path).
-  ZoomInCache(CachePolicy policy, size_t budget_bytes, const std::string& path = "",
-              RcoWeights weights = {});
-  ~ZoomInCache();
+  /// `budget_bytes` caps the sum of the entries' serialized sizes.
+  ZoomInCache(CachePolicy policy, size_t budget_bytes, RcoWeights weights = {});
 
   ZoomInCache(const ZoomInCache&) = delete;
   ZoomInCache& operator=(const ZoomInCache&) = delete;
-
-  Status Init();
 
   /// Admits the snapshot of `qid` with recompute cost `cost_seconds`,
   /// keyed by the epoch the result was computed at (kAnyEpoch = live).
   /// Snapshots that cannot fit even an empty cache are rejected (counted in
   /// stats().rejected); under kNone everything is rejected. Replacing an
-  /// existing qid is atomic from the reader's perspective: the old snapshot
-  /// stays readable until the replacement has fully succeeded, and a failed
-  /// or rejected replacement keeps it.
-  Status Put(QueryId qid, const ResultSnapshot& snapshot, double cost_seconds,
-             uint64_t epoch = kAnyEpoch);
+  /// existing qid is atomic: a rejected replacement keeps the old snapshot,
+  /// and the replaced entry is never evicted to make room for itself.
+  void Put(QueryId qid, std::shared_ptr<const ResultSnapshot> snapshot,
+           double cost_seconds, uint64_t epoch = kAnyEpoch);
 
-  /// Fetches the snapshot for `qid`, bumping its recency/frequency. NotFound
+  /// Returns the snapshot for `qid`, bumping its recency/frequency. NotFound
   /// on miss (evicted, rejected, never inserted, or cached at a different
-  /// epoch than requested). Hit/recency accounting happens only once the
-  /// snapshot has actually been read back: a failed backing read counts as
-  /// a miss and leaves the entry's metadata alone.
-  Result<ResultSnapshot> Get(QueryId qid, uint64_t epoch = kAnyEpoch);
-
-  /// Test-only fault injection: tombstones the backing heap record of `qid`
-  /// while keeping its directory entry, simulating a torn cache file. Later
-  /// reads of (and evictions targeting) the entry fail at the heap layer.
-  Status CorruptBackingRecordForTest(QueryId qid);
+  /// epoch than requested).
+  Result<std::shared_ptr<const ResultSnapshot>> Get(QueryId qid,
+                                                    uint64_t epoch = kAnyEpoch);
 
   bool Contains(QueryId qid) const;
 
@@ -103,60 +88,37 @@ class ZoomInCache {
   size_t budget_bytes() const { return budget_; }
 
  private:
-  static constexpr size_t kNumShards = 8;
-
   struct Entry {
-    storage::RecordId record;
-    size_t size = 0;
+    std::shared_ptr<const ResultSnapshot> snapshot;
+    size_t size = 0;             // Serialized size charged to the budget.
     double cost = 0.0;
     uint64_t epoch = kAnyEpoch;  // Epoch the cached result was computed at.
     uint64_t last_ref = 0;       // Logical tick.
     uint64_t ref_count = 0;
   };
 
-  struct Shard {
-    mutable std::mutex mutex;
-    std::map<QueryId, Entry> entries;
-  };
-
-  static size_t ShardOf(QueryId qid) { return qid % kNumShards; }
-
-  /// Acquires every shard mutex in ascending index order (the global lock
-  /// order; Get holds a single shard mutex and never a second one).
-  std::array<std::unique_lock<std::mutex>, kNumShards> LockAll() const;
-
   /// Evicts entries until `needed` bytes fit, where `reclaimable` bytes of
   /// the current usage will be freed by the caller on success (the entry
   /// being replaced) and `exclude`, when non-null, must never be picked as
-  /// a victim. Returns false if impossible. All shard mutexes held.
-  bool MakeRoom(size_t needed, size_t reclaimable = 0, const QueryId* exclude = nullptr);
+  /// a victim. Victims' snapshots move to `released` so the caller frees
+  /// them unlocked. Returns false if impossible. Mutex held.
+  bool MakeRoom(size_t needed, size_t reclaimable, const QueryId* exclude,
+                std::vector<std::shared_ptr<const ResultSnapshot>>* released);
   /// Picks the eviction victim under the configured policy, skipping
-  /// `exclude`. Must not be called when no candidate exists. All shard
-  /// mutexes held.
+  /// `exclude`; ties go to the smaller qid. Must not be called when no
+  /// candidate exists. Mutex held.
   QueryId PickVictim(const QueryId* exclude) const;
   /// RCO score against pre-computed normalization maxima (hoisted out of
   /// the candidate loop: one pre-pass per eviction, not one per candidate).
   double RcoScore(const Entry& e, double max_cost, size_t max_size) const;
 
-  size_t NumEntriesLocked() const;
-
-  CachePolicy policy_;
-  size_t budget_;
-  RcoWeights weights_;
-  std::string path_;
-  storage::DiskManager disk_;
-  std::unique_ptr<storage::BufferPool> pool_;
-  std::unique_ptr<storage::HeapFile> heap_;
-  std::array<Shard, kNumShards> shards_;
-  std::atomic<uint64_t> tick_{0};
-  // Atomic so stats() never takes a lock and concurrent bumps cannot be
-  // lost (the pre-sharding counters were plain uint64_t).
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> insertions_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> rejected_{0};
-  std::atomic<size_t> bytes_used_{0};
+  const CachePolicy policy_;
+  const size_t budget_;
+  const RcoWeights weights_;
+  mutable std::mutex mutex_;
+  std::map<QueryId, Entry> entries_;  // Guarded by mutex_, as is all below.
+  uint64_t tick_ = 0;
+  CacheStats stats_;
 };
 
 }  // namespace insightnotes::core

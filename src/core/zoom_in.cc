@@ -1,55 +1,6 @@
 #include "core/zoom_in.h"
 
-#include <cstring>
-
 namespace insightnotes::core {
-
-namespace {
-
-void PutU32(std::string* out, uint32_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void PutString(std::string* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-Result<uint32_t> GetU32(std::string_view in, size_t* offset) {
-  if (*offset + sizeof(uint32_t) > in.size()) {
-    return Status::ParseError("snapshot: truncated u32");
-  }
-  uint32_t v;
-  std::memcpy(&v, in.data() + *offset, sizeof(v));
-  *offset += sizeof(v);
-  return v;
-}
-
-Result<uint64_t> GetU64(std::string_view in, size_t* offset) {
-  if (*offset + sizeof(uint64_t) > in.size()) {
-    return Status::ParseError("snapshot: truncated u64");
-  }
-  uint64_t v;
-  std::memcpy(&v, in.data() + *offset, sizeof(v));
-  *offset += sizeof(v);
-  return v;
-}
-
-Result<std::string> GetString(std::string_view in, size_t* offset) {
-  INSIGHTNOTES_ASSIGN_OR_RETURN(uint32_t len, GetU32(in, offset));
-  if (*offset + len > in.size()) {
-    return Status::ParseError("snapshot: truncated string");
-  }
-  std::string s(in.substr(*offset, len));
-  *offset += len;
-  return s;
-}
-
-}  // namespace
 
 Result<ResultSnapshot> ResultSnapshot::Capture(
     const rel::Schema& schema, const std::vector<AnnotatedTuple>& tuples) {
@@ -82,80 +33,27 @@ Result<ResultSnapshot> ResultSnapshot::Capture(
   return snapshot;
 }
 
-void ResultSnapshot::Serialize(std::string* out) const {
-  PutU32(out, static_cast<uint32_t>(column_names.size()));
-  for (const std::string& name : column_names) PutString(out, name);
-  PutU32(out, static_cast<uint32_t>(rows.size()));
-  for (const RowSnapshot& row : rows) {
-    row.tuple.Serialize(out);
-    PutU32(out, static_cast<uint32_t>(row.summaries.size()));
-    for (const SummarySnapshot& s : row.summaries) {
-      PutString(out, s.instance);
-      PutString(out, s.rendered);
-      PutU32(out, static_cast<uint32_t>(s.components.size()));
-      for (const ComponentSnapshot& c : s.components) {
-        PutString(out, c.label);
-        PutU32(out, static_cast<uint32_t>(c.ids.size()));
-        for (ann::AnnotationId id : c.ids) PutU64(out, id);
-      }
-    }
-  }
-}
-
-Result<ResultSnapshot> ResultSnapshot::Deserialize(std::string_view in) {
-  ResultSnapshot snapshot;
-  size_t offset = 0;
-  INSIGHTNOTES_ASSIGN_OR_RETURN(uint32_t num_columns, GetU32(in, &offset));
-  snapshot.column_names.reserve(num_columns);
-  for (uint32_t i = 0; i < num_columns; ++i) {
-    INSIGHTNOTES_ASSIGN_OR_RETURN(std::string name, GetString(in, &offset));
-    snapshot.column_names.push_back(std::move(name));
-  }
-  INSIGHTNOTES_ASSIGN_OR_RETURN(uint32_t num_rows, GetU32(in, &offset));
-  snapshot.rows.reserve(num_rows);
-  for (uint32_t r = 0; r < num_rows; ++r) {
-    RowSnapshot row;
-    // Tuple::Deserialize consumes from the front: hand it the remaining
-    // view, then recompute the offset from the re-serialized length.
-    INSIGHTNOTES_ASSIGN_OR_RETURN(row.tuple, rel::Tuple::Deserialize(in.substr(offset)));
-    std::string reserialized;
-    row.tuple.Serialize(&reserialized);
-    offset += reserialized.size();
-    INSIGHTNOTES_ASSIGN_OR_RETURN(uint32_t num_summaries, GetU32(in, &offset));
-    row.summaries.reserve(num_summaries);
-    for (uint32_t s = 0; s < num_summaries; ++s) {
-      SummarySnapshot summary;
-      INSIGHTNOTES_ASSIGN_OR_RETURN(summary.instance, GetString(in, &offset));
-      INSIGHTNOTES_ASSIGN_OR_RETURN(summary.rendered, GetString(in, &offset));
-      INSIGHTNOTES_ASSIGN_OR_RETURN(uint32_t num_components, GetU32(in, &offset));
-      summary.components.reserve(num_components);
-      for (uint32_t c = 0; c < num_components; ++c) {
-        ComponentSnapshot component;
-        INSIGHTNOTES_ASSIGN_OR_RETURN(component.label, GetString(in, &offset));
-        INSIGHTNOTES_ASSIGN_OR_RETURN(uint32_t num_ids, GetU32(in, &offset));
-        component.ids.reserve(num_ids);
-        for (uint32_t i = 0; i < num_ids; ++i) {
-          INSIGHTNOTES_ASSIGN_OR_RETURN(uint64_t id, GetU64(in, &offset));
-          component.ids.push_back(id);
-        }
-        summary.components.push_back(std::move(component));
-      }
-      row.summaries.push_back(std::move(summary));
-    }
-    snapshot.rows.push_back(std::move(row));
-  }
-  return snapshot;
-}
-
 size_t ResultSnapshot::SizeBytes() const {
-  std::string bytes;
-  Serialize(&bytes);
-  return bytes.size();
+  constexpr size_t kCount = sizeof(uint32_t);  // Counts and string lengths.
+  size_t size = kCount;
+  for (const std::string& name : column_names) size += kCount + name.size();
+  size += kCount;
+  for (const RowSnapshot& row : rows) {
+    size += row.tuple.SerializedSize() + kCount;
+    for (const SummarySnapshot& s : row.summaries) {
+      size += kCount + s.instance.size() + kCount + s.rendered.size() + kCount;
+      for (const ComponentSnapshot& c : s.components) {
+        size += kCount + c.label.size() + kCount +
+                c.ids.size() * sizeof(uint64_t);
+      }
+    }
+  }
+  return size;
 }
 
-Result<std::vector<std::pair<size_t, ComponentSnapshot>>> ResolveZoomIn(
+Result<std::vector<std::pair<size_t, const ComponentSnapshot*>>> ResolveZoomIn(
     const ResultSnapshot& snapshot, const ZoomInRequest& request) {
-  std::vector<std::pair<size_t, ComponentSnapshot>> out;
+  std::vector<std::pair<size_t, const ComponentSnapshot*>> out;
   for (size_t r = 0; r < snapshot.rows.size(); ++r) {
     const RowSnapshot& row = snapshot.rows[r];
     if (request.predicate != nullptr) {
@@ -178,7 +76,7 @@ Result<std::vector<std::pair<size_t, ComponentSnapshot>>> ResolveZoomIn(
       // contribute nothing rather than failing the whole command.
       continue;
     }
-    out.emplace_back(r, target->components[request.component_index]);
+    out.emplace_back(r, &target->components[request.component_index]);
   }
   return out;
 }

@@ -2,7 +2,8 @@
 // compact *snapshots* — tuples plus, per summary object, the rendered form
 // and the annotation ids behind each component. Snapshots serve future
 // ZoomIn commands without re-running the query; they are what competes for
-// the RCO-managed disk cache (rco_cache.h).
+// the RCO-managed result cache (rco_cache.h), which holds them immutable
+// behind shared_ptr.
 
 #ifndef INSIGHTNOTES_CORE_ZOOM_IN_H_
 #define INSIGHTNOTES_CORE_ZOOM_IN_H_
@@ -47,11 +48,9 @@ struct ResultSnapshot {
   static Result<ResultSnapshot> Capture(const rel::Schema& schema,
                                         const std::vector<AnnotatedTuple>& tuples);
 
-  /// Binary round trip (cache storage format).
-  void Serialize(std::string* out) const;
-  static Result<ResultSnapshot> Deserialize(std::string_view in);
-
-  /// Approximate in-memory/cache footprint.
+  /// Cache charge: the length of the snapshot's flat binary encoding
+  /// (u32 counts and string lengths, u64 ids, tuples in rel::Tuple's
+  /// format), computed arithmetically.
   size_t SizeBytes() const;
 };
 
@@ -77,9 +76,10 @@ struct ZoomInResult {
 };
 
 /// Resolves `request` against a snapshot: selects rows by predicate, finds
-/// the named summary, and returns the component's annotation ids per row
-/// (bodies are fetched by the engine).
-Result<std::vector<std::pair<size_t, ComponentSnapshot>>> ResolveZoomIn(
+/// the named summary, and returns each matching row's index with a pointer
+/// to its component inside `snapshot` (valid while the snapshot lives;
+/// bodies are fetched by the engine).
+Result<std::vector<std::pair<size_t, const ComponentSnapshot*>>> ResolveZoomIn(
     const ResultSnapshot& snapshot, const ZoomInRequest& request);
 
 }  // namespace insightnotes::core

@@ -18,6 +18,12 @@ void Tuple::Serialize(std::string* out) const {
   for (const Value& v : values_) v.Serialize(out);
 }
 
+size_t Tuple::SerializedSize() const {
+  size_t size = sizeof(uint16_t);
+  for (const Value& v : values_) size += v.SerializedSize();
+  return size;
+}
+
 Result<Tuple> Tuple::Deserialize(std::string_view in) {
   if (in.size() < sizeof(uint16_t)) return Status::ParseError("tuple: truncated header");
   uint16_t count;

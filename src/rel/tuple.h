@@ -34,6 +34,8 @@ class Tuple {
 
   /// Serialization: [count u16][value]*.
   void Serialize(std::string* out) const;
+  /// Length Serialize() appends, computed without encoding.
+  size_t SerializedSize() const;
   static Result<Tuple> Deserialize(std::string_view in);
 
   /// Hash/equality over all values (grouping, distinct).

@@ -135,6 +135,20 @@ void Value::Serialize(std::string* out) const {
   }
 }
 
+size_t Value::SerializedSize() const {
+  switch (type()) {
+    case ValueType::kNull:
+      return 1;
+    case ValueType::kInt64:
+      return 1 + sizeof(int64_t);
+    case ValueType::kFloat64:
+      return 1 + sizeof(double);
+    case ValueType::kString:
+      return 1 + sizeof(uint32_t) + AsString().size();
+  }
+  return 1;
+}
+
 Result<Value> Value::Deserialize(std::string_view in, size_t* offset) {
   if (*offset >= in.size()) return Status::ParseError("value: truncated tag");
   auto tag = static_cast<ValueType>(in[*offset]);

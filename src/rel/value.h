@@ -67,6 +67,8 @@ class Value {
 
   /// Binary serialization (appends to `out`): [type u8][payload].
   void Serialize(std::string* out) const;
+  /// Length Serialize() appends, computed without encoding.
+  size_t SerializedSize() const;
 
   /// Deserializes one value from `in` advancing `*offset`.
   static Result<Value> Deserialize(std::string_view in, size_t* offset);

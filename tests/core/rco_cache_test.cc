@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -11,19 +13,24 @@
 namespace insightnotes::core {
 namespace {
 
-/// A snapshot of roughly `bytes` serialized size.
-ResultSnapshot SnapshotOfSize(size_t bytes) {
-  ResultSnapshot snapshot;
-  snapshot.column_names = {"pad"};
+/// A one-row snapshot whose single string value is `bytes` copies of
+/// `fill`: serialized size 26 + `bytes` (see SizeBytesMatchesHandCounts).
+std::shared_ptr<const ResultSnapshot> SnapshotOfSize(size_t bytes, char fill = 'x') {
+  auto snapshot = std::make_shared<ResultSnapshot>();
+  snapshot->column_names = {"pad"};
   RowSnapshot row;
-  row.tuple = rel::Tuple({rel::Value(std::string(bytes, 'x'))});
-  snapshot.rows.push_back(std::move(row));
+  row.tuple = rel::Tuple({rel::Value(std::string(bytes, fill))});
+  snapshot->rows.push_back(std::move(row));
   return snapshot;
+}
+
+/// Length of the single padded value of a SnapshotOfSize snapshot.
+size_t PadOf(const ResultSnapshot& snapshot) {
+  return snapshot.rows[0].tuple.ValueAt(0).AsString().size();
 }
 
 TEST(ZoomInCacheTest, PutGetRoundTrip) {
   ZoomInCache cache(CachePolicy::kLru, 1 << 20);
-  ASSERT_TRUE(cache.Init().ok());
   ResultSnapshot snapshot;
   snapshot.column_names = {"r.a", "r.b"};
   RowSnapshot row;
@@ -35,29 +42,28 @@ TEST(ZoomInCacheTest, PutGetRoundTrip) {
   row.summaries.push_back(s);
   snapshot.rows.push_back(std::move(row));
 
-  ASSERT_TRUE(cache.Put(7, snapshot, 0.5).ok());
+  cache.Put(7, std::make_shared<const ResultSnapshot>(snapshot), 0.5);
   auto back = cache.Get(7);
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->column_names, snapshot.column_names);
-  ASSERT_EQ(back->rows.size(), 1u);
-  ASSERT_EQ(back->rows[0].summaries.size(), 1u);
-  EXPECT_EQ(back->rows[0].summaries[0].rendered, "[(Behavior, 2)]");
-  EXPECT_EQ(back->rows[0].summaries[0].components[0].ids,
+  const ResultSnapshot& got = **back;
+  EXPECT_EQ(got.column_names, snapshot.column_names);
+  ASSERT_EQ(got.rows.size(), 1u);
+  ASSERT_EQ(got.rows[0].summaries.size(), 1u);
+  EXPECT_EQ(got.rows[0].summaries[0].rendered, "[(Behavior, 2)]");
+  EXPECT_EQ(got.rows[0].summaries[0].components[0].ids,
             (std::vector<ann::AnnotationId>{10, 20}));
   EXPECT_EQ(cache.stats().hits, 1u);
 }
 
 TEST(ZoomInCacheTest, MissCounts) {
   ZoomInCache cache(CachePolicy::kLru, 1 << 20);
-  ASSERT_TRUE(cache.Init().ok());
   EXPECT_TRUE(cache.Get(1).status().IsNotFound());
   EXPECT_EQ(cache.stats().misses, 1u);
 }
 
 TEST(ZoomInCacheTest, NonePolicyRejectsEverything) {
   ZoomInCache cache(CachePolicy::kNone, 1 << 20);
-  ASSERT_TRUE(cache.Init().ok());
-  ASSERT_TRUE(cache.Put(1, SnapshotOfSize(100), 1.0).ok());
+  cache.Put(1, SnapshotOfSize(100), 1.0);
   EXPECT_TRUE(cache.Get(1).status().IsNotFound());
   EXPECT_EQ(cache.stats().rejected, 1u);
   EXPECT_EQ(cache.stats().insertions, 0u);
@@ -65,8 +71,7 @@ TEST(ZoomInCacheTest, NonePolicyRejectsEverything) {
 
 TEST(ZoomInCacheTest, OversizeSnapshotRejected) {
   ZoomInCache cache(CachePolicy::kLru, 512);
-  ASSERT_TRUE(cache.Init().ok());
-  ASSERT_TRUE(cache.Put(1, SnapshotOfSize(4096), 1.0).ok());
+  cache.Put(1, SnapshotOfSize(4096), 1.0);
   EXPECT_FALSE(cache.Contains(1));
   EXPECT_EQ(cache.stats().rejected, 1u);
 }
@@ -74,11 +79,10 @@ TEST(ZoomInCacheTest, OversizeSnapshotRejected) {
 TEST(ZoomInCacheTest, LruEvictsOldest) {
   // Budget fits ~2 entries of ~400B.
   ZoomInCache cache(CachePolicy::kLru, 800);
-  ASSERT_TRUE(cache.Init().ok());
-  ASSERT_TRUE(cache.Put(1, SnapshotOfSize(300), 1.0).ok());
-  ASSERT_TRUE(cache.Put(2, SnapshotOfSize(300), 1.0).ok());
+  cache.Put(1, SnapshotOfSize(300), 1.0);
+  cache.Put(2, SnapshotOfSize(300), 1.0);
   ASSERT_TRUE(cache.Get(1).ok());  // Touch 1 so 2 is LRU.
-  ASSERT_TRUE(cache.Put(3, SnapshotOfSize(300), 1.0).ok());
+  cache.Put(3, SnapshotOfSize(300), 1.0);
   EXPECT_TRUE(cache.Contains(1));
   EXPECT_FALSE(cache.Contains(2));
   EXPECT_TRUE(cache.Contains(3));
@@ -87,12 +91,11 @@ TEST(ZoomInCacheTest, LruEvictsOldest) {
 
 TEST(ZoomInCacheTest, LfuEvictsLeastFrequent) {
   ZoomInCache cache(CachePolicy::kLfu, 800);
-  ASSERT_TRUE(cache.Init().ok());
-  ASSERT_TRUE(cache.Put(1, SnapshotOfSize(300), 1.0).ok());
-  ASSERT_TRUE(cache.Put(2, SnapshotOfSize(300), 1.0).ok());
+  cache.Put(1, SnapshotOfSize(300), 1.0);
+  cache.Put(2, SnapshotOfSize(300), 1.0);
   ASSERT_TRUE(cache.Get(1).ok());
   ASSERT_TRUE(cache.Get(1).ok());  // qid 1 referenced more.
-  ASSERT_TRUE(cache.Put(3, SnapshotOfSize(300), 1.0).ok());
+  cache.Put(3, SnapshotOfSize(300), 1.0);
   EXPECT_TRUE(cache.Contains(1));
   EXPECT_FALSE(cache.Contains(2));
 }
@@ -100,10 +103,9 @@ TEST(ZoomInCacheTest, LfuEvictsLeastFrequent) {
 TEST(ZoomInCacheTest, RcoKeepsExpensiveResults) {
   // Two cold entries, same size and recency: RCO must evict the cheap one.
   ZoomInCache cache(CachePolicy::kRco, 800);
-  ASSERT_TRUE(cache.Init().ok());
-  ASSERT_TRUE(cache.Put(1, SnapshotOfSize(300), /*cost=*/10.0).ok());  // Expensive.
-  ASSERT_TRUE(cache.Put(2, SnapshotOfSize(300), /*cost=*/0.01).ok());  // Cheap.
-  ASSERT_TRUE(cache.Put(3, SnapshotOfSize(300), /*cost=*/5.0).ok());
+  cache.Put(1, SnapshotOfSize(300), /*cost=*/10.0);  // Expensive.
+  cache.Put(2, SnapshotOfSize(300), /*cost=*/0.01);  // Cheap.
+  cache.Put(3, SnapshotOfSize(300), /*cost=*/5.0);
   EXPECT_TRUE(cache.Contains(1));
   EXPECT_FALSE(cache.Contains(2));
   EXPECT_TRUE(cache.Contains(3));
@@ -114,105 +116,145 @@ TEST(ZoomInCacheTest, RcoPenalizesLargeResults) {
   weights.recency = 0.0;  // Isolate the overhead factor.
   weights.complexity = 0.0;
   weights.overhead = 1.0;
-  ZoomInCache cache(CachePolicy::kRco, 1000, "", weights);
-  ASSERT_TRUE(cache.Init().ok());
-  ASSERT_TRUE(cache.Put(1, SnapshotOfSize(500), 1.0).ok());  // Large.
-  ASSERT_TRUE(cache.Put(2, SnapshotOfSize(100), 1.0).ok());  // Small.
-  ASSERT_TRUE(cache.Put(3, SnapshotOfSize(400), 1.0).ok());
+  ZoomInCache cache(CachePolicy::kRco, 1000, weights);
+  cache.Put(1, SnapshotOfSize(500), 1.0);  // Large.
+  cache.Put(2, SnapshotOfSize(100), 1.0);  // Small.
+  cache.Put(3, SnapshotOfSize(400), 1.0);
   EXPECT_FALSE(cache.Contains(1));  // The big entry went first.
   EXPECT_TRUE(cache.Contains(2));
 }
 
 TEST(ZoomInCacheTest, ReplacingSameQidUpdates) {
   ZoomInCache cache(CachePolicy::kLru, 1 << 20);
-  ASSERT_TRUE(cache.Init().ok());
-  ASSERT_TRUE(cache.Put(1, SnapshotOfSize(100), 1.0).ok());
+  cache.Put(1, SnapshotOfSize(100), 1.0);
   size_t used_before = cache.stats().bytes_used;
-  ASSERT_TRUE(cache.Put(1, SnapshotOfSize(200), 1.0).ok());
+  cache.Put(1, SnapshotOfSize(200), 1.0);
   EXPECT_GT(cache.stats().bytes_used, used_before);
   auto back = cache.Get(1);
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->rows[0].tuple.ValueAt(0).AsString().size(), 200u);
-}
-
-TEST(ZoomInCacheTest, FileBackedCache) {
-  std::string path = ::testing::TempDir() + "/insightnotes_cache_test.db";
-  {
-    ZoomInCache cache(CachePolicy::kRco, 1 << 20, path);
-    ASSERT_TRUE(cache.Init().ok());
-    ASSERT_TRUE(cache.Put(1, SnapshotOfSize(5000), 1.0).ok());
-    auto back = cache.Get(1);
-    ASSERT_TRUE(back.ok());
-    EXPECT_EQ(back->rows[0].tuple.ValueAt(0).AsString().size(), 5000u);
-  }
-  // Destructor removed the backing file.
-  FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_EQ(f, nullptr);
-  if (f != nullptr) std::fclose(f);
-}
-
-TEST(ZoomInCacheTest, HeapReadFailureCountsMissNotHit) {
-  // A torn backing record must surface as a miss: no hit is counted and the
-  // snapshot is not returned. (Previously the hit was counted and recency
-  // bumped before the heap read, so a failed read still looked like a hit.)
-  ZoomInCache cache(CachePolicy::kLru, 1 << 20);
-  ASSERT_TRUE(cache.Init().ok());
-  ASSERT_TRUE(cache.Put(1, SnapshotOfSize(100), 1.0).ok());
-  ASSERT_TRUE(cache.CorruptBackingRecordForTest(1).ok());
-  auto back = cache.Get(1);
-  EXPECT_FALSE(back.ok());
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  // The directory entry survives; only the backing read failed.
-  EXPECT_TRUE(cache.Contains(1));
-}
-
-TEST(ZoomInCacheTest, FailedReplacementKeepsOldSnapshotReadable) {
-  // Replacing qid 1 with a bigger snapshot needs an eviction; the only
-  // victim candidate (qid 2, since the replaced entry is pinned) has a torn
-  // backing record, so eviction — and with it the replacement — fails.
-  // The old snapshot of qid 1 must remain readable. (Previously Put erased
-  // the old entry before MakeRoom, losing it on a failed replacement.)
-  ZoomInCache cache(CachePolicy::kLru, 800);
-  ASSERT_TRUE(cache.Init().ok());
-  ASSERT_TRUE(cache.Put(1, SnapshotOfSize(300), 1.0).ok());
-  ASSERT_TRUE(cache.Put(2, SnapshotOfSize(300), 1.0).ok());
-  ASSERT_TRUE(cache.CorruptBackingRecordForTest(2).ok());
-
-  uint64_t rejected_before = cache.stats().rejected;
-  ASSERT_TRUE(cache.Put(1, SnapshotOfSize(600), 1.0).ok());
-  EXPECT_EQ(cache.stats().rejected, rejected_before + 1);
-
-  auto back = cache.Get(1);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->rows[0].tuple.ValueAt(0).AsString().size(), 300u);
+  EXPECT_EQ(PadOf(**back), 200u);
 }
 
 TEST(ZoomInCacheTest, OversizedReplacementKeepsOldEntry) {
   ZoomInCache cache(CachePolicy::kLru, 512);
-  ASSERT_TRUE(cache.Init().ok());
-  ASSERT_TRUE(cache.Put(1, SnapshotOfSize(100), 1.0).ok());
+  cache.Put(1, SnapshotOfSize(100), 1.0);
   // Larger than the whole budget: rejected, old snapshot untouched.
-  ASSERT_TRUE(cache.Put(1, SnapshotOfSize(4096), 1.0).ok());
+  cache.Put(1, SnapshotOfSize(4096), 1.0);
   EXPECT_EQ(cache.stats().rejected, 1u);
   auto back = cache.Get(1);
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->rows[0].tuple.ValueAt(0).AsString().size(), 100u);
+  EXPECT_EQ(PadOf(**back), 100u);
 }
 
 TEST(ZoomInCacheTest, ReplacementNeverEvictsItself) {
   // The entry being replaced is pinned: growing it within budget must not
   // pick it as its own victim even when it is the eviction-policy favorite.
   ZoomInCache cache(CachePolicy::kLru, 800);
-  ASSERT_TRUE(cache.Init().ok());
-  ASSERT_TRUE(cache.Put(1, SnapshotOfSize(300), 1.0).ok());  // LRU favorite.
-  ASSERT_TRUE(cache.Put(2, SnapshotOfSize(300), 1.0).ok());
-  ASSERT_TRUE(cache.Put(1, SnapshotOfSize(600), 1.0).ok());  // Needs room.
+  cache.Put(1, SnapshotOfSize(300), 1.0);  // LRU favorite.
+  cache.Put(2, SnapshotOfSize(300), 1.0);
+  cache.Put(1, SnapshotOfSize(600), 1.0);  // Needs room.
   EXPECT_TRUE(cache.Contains(1));
   EXPECT_FALSE(cache.Contains(2));  // 2 evicted, not the pinned 1.
   auto back = cache.Get(1);
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->rows[0].tuple.ValueAt(0).AsString().size(), 600u);
+  EXPECT_EQ(PadOf(**back), 600u);
+}
+
+TEST(ZoomInCacheTest, EvictedAndReplacedSnapshotsAreFreedOnceUnheld) {
+  ZoomInCache cache(CachePolicy::kLru, 800);
+  std::weak_ptr<const ResultSnapshot> evicted;
+  std::weak_ptr<const ResultSnapshot> replaced;
+  {
+    auto first = SnapshotOfSize(300);
+    auto second = SnapshotOfSize(300);
+    evicted = first;
+    replaced = second;
+    cache.Put(1, std::move(first), 1.0);
+    cache.Put(2, std::move(second), 1.0);
+  }
+  EXPECT_FALSE(evicted.expired());  // The cache is the only holder.
+  EXPECT_FALSE(replaced.expired());
+  cache.Put(2, SnapshotOfSize(500), 1.0);  // Replaces 2, evicts 1.
+  EXPECT_FALSE(cache.Contains(1));
+  EXPECT_TRUE(evicted.expired());
+  EXPECT_TRUE(replaced.expired());
+}
+
+TEST(ZoomInCacheTest, HeldSnapshotOutlivesEvictionAndReplacement) {
+  ZoomInCache cache(CachePolicy::kLru, 800);
+  cache.Put(1, SnapshotOfSize(300, 'a'), 1.0);
+  cache.Put(2, SnapshotOfSize(300, 'b'), 1.0);
+  auto get1 = cache.Get(1);
+  auto get2 = cache.Get(2);
+  ASSERT_TRUE(get1.ok());
+  ASSERT_TRUE(get2.ok());
+  std::shared_ptr<const ResultSnapshot> held_evicted = std::move(*get1);
+  std::shared_ptr<const ResultSnapshot> held_replaced = std::move(*get2);
+  std::weak_ptr<const ResultSnapshot> watch = held_evicted;
+
+  cache.Put(2, SnapshotOfSize(100, 'c'), 1.0);  // Replaces 2.
+  cache.Put(3, SnapshotOfSize(500, 'd'), 1.0);  // Evicts 1.
+  ASSERT_FALSE(cache.Contains(1));
+  auto current = cache.Get(2);
+  ASSERT_TRUE(current.ok());
+  EXPECT_EQ(PadOf(**current), 100u);
+
+  // The readers still see the snapshots they were handed, intact.
+  EXPECT_EQ(held_evicted->column_names, std::vector<std::string>{"pad"});
+  EXPECT_EQ(held_evicted->rows[0].tuple.ValueAt(0).AsString(), std::string(300, 'a'));
+  EXPECT_EQ(held_replaced->rows[0].tuple.ValueAt(0).AsString(), std::string(300, 'b'));
+  EXPECT_FALSE(watch.expired());
+  held_evicted.reset();  // The last holder lets go.
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST(ZoomInCacheTest, HitsShareOneSnapshot) {
+  ZoomInCache cache(CachePolicy::kRco, 1 << 20);
+  auto snapshot = SnapshotOfSize(100);
+  const ResultSnapshot* admitted = snapshot.get();
+  cache.Put(1, std::move(snapshot), 1.0);
+  auto first = cache.Get(1);
+  auto second = cache.Get(1);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(first->get(), admitted);
+  EXPECT_EQ(second->get(), admitted);
+  EXPECT_EQ(cache.stats().hits, 2u);
+}
+
+// Readers hold and read the snapshot of one qid while a writer keeps
+// replacing it and evicting around it. Every snapshot a reader receives must
+// be self-consistent: its pad length is encoded in its fill character.
+TEST(ZoomInCacheTest, ConcurrentReadersSurviveReplacementAndEviction) {
+  ZoomInCache cache(CachePolicy::kLru, 4096);
+  auto make = [](int version) {
+    return SnapshotOfSize(100 + static_cast<size_t>(version % 16) * 50,
+                          static_cast<char>('a' + version % 16));
+  };
+  cache.Put(0, make(0), 1.0);
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        auto got = cache.Get(0);
+        if (!got.ok()) continue;  // Evicted between replacements.
+        const std::string& pad = (*got)->rows[0].tuple.ValueAt(0).AsString();
+        ASSERT_FALSE(pad.empty());
+        size_t version = static_cast<size_t>(pad[0] - 'a');
+        ASSERT_EQ(pad.size(), 100 + version * 50);
+        ASSERT_EQ(pad, std::string(pad.size(), pad[0]));
+      }
+    });
+  }
+  for (int i = 1; i <= 2000; ++i) {
+    cache.Put(0, make(i), 1.0);
+    cache.Put(1 + static_cast<QueryId>(i % 8), SnapshotOfSize(400), 1.0);
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+  CacheStats stats = cache.stats();
+  EXPECT_LE(stats.bytes_used, cache.budget_bytes());
 }
 
 /// Brute-force reference model of the cache's bookkeeping: same tick,
@@ -335,9 +377,8 @@ TEST(ZoomInCacheTest, EvictionHeavyRunMatchesBruteForceOracle) {
        {CachePolicy::kLru, CachePolicy::kLfu, CachePolicy::kRco}) {
     RcoWeights weights;  // Defaults, as the cache uses them.
     const size_t kBudget = 1500;
-    ZoomInCache cache(policy, kBudget, "", weights);
-    ASSERT_TRUE(cache.Init().ok());
-    CacheOracle oracle(policy, kBudget, weights);
+    ZoomInCache cache(policy, kBudget, weights);
+      CacheOracle oracle(policy, kBudget, weights);
 
     uint64_t rng = 0x9e3779b97f4a7c15ull + static_cast<uint64_t>(policy);
     auto next = [&rng]() {
@@ -355,11 +396,9 @@ TEST(ZoomInCacheTest, EvictionHeavyRunMatchesBruteForceOracle) {
       } else {
         size_t payload = 100 + next() % 500;
         double cost = 0.01 * static_cast<double>(1 + next() % 1000);
-        ResultSnapshot snapshot = SnapshotOfSize(payload);
-        std::string bytes;
-        snapshot.Serialize(&bytes);
-        ASSERT_TRUE(cache.Put(qid, snapshot, cost).ok());
-        oracle.Put(qid, bytes.size(), cost);
+        auto snapshot = SnapshotOfSize(payload);
+        cache.Put(qid, snapshot, cost);
+        oracle.Put(qid, snapshot->SizeBytes(), cost);
       }
       for (QueryId q = 0; q < kQids; ++q) {
         ASSERT_EQ(cache.Contains(q), oracle.Contains(q))
@@ -379,30 +418,56 @@ TEST(ZoomInCacheTest, EvictionHeavyRunMatchesBruteForceOracle) {
   }
 }
 
-TEST(SnapshotTest, SerializationRoundTripsEmpty) {
+// SizeBytes is the cache's budget charge. It must equal the length of the
+// snapshot's flat binary encoding — u32 column count, u32-length-prefixed
+// names, u32 row count, then per row the rel::Tuple encoding (u16 count,
+// per value a type byte plus 8 bytes for numbers or a u32 length plus the
+// string), a u32 summary count, per summary the length-prefixed instance
+// and rendered strings and a u32 component count, per component a
+// length-prefixed label, a u32 id count and u64 ids — so eviction decisions
+// match the cache's earlier serialized-size accounting.
+TEST(SnapshotTest, SizeBytesMatchesHandCounts) {
   ResultSnapshot empty;
-  std::string bytes;
-  empty.Serialize(&bytes);
-  auto back = ResultSnapshot::Deserialize(bytes);
-  ASSERT_TRUE(back.ok());
-  EXPECT_TRUE(back->rows.empty());
-  EXPECT_TRUE(back->column_names.empty());
-}
+  EXPECT_EQ(empty.SizeBytes(), 4u + 4u);
 
-TEST(SnapshotTest, DeserializeRejectsTruncation) {
-  ResultSnapshot snapshot = SnapshotOfSize(100);
-  std::string bytes;
-  snapshot.Serialize(&bytes);
-  for (size_t cut : {bytes.size() - 1, bytes.size() / 2, size_t{3}}) {
-    auto back = ResultSnapshot::Deserialize(std::string_view(bytes).substr(0, cut));
-    EXPECT_FALSE(back.ok()) << "cut=" << cut;
-  }
+  ResultSnapshot multi_row;
+  multi_row.column_names = {"a", "bb"};  // 4 + (4 + 1) + (4 + 2) = 15.
+  RowSnapshot r1;                         // 2 + (1 + 8) + (1 + 4 + 3) = 19.
+  r1.tuple = rel::Tuple({rel::Value(static_cast<int64_t>(1)),
+                         rel::Value(std::string("xyz"))});
+  RowSnapshot r2;  // 2 + 1 + (1 + 8) = 12.
+  r2.tuple = rel::Tuple({rel::Value::Null(), rel::Value(2.5)});
+  multi_row.rows = {r1, r2};
+  EXPECT_EQ(multi_row.SizeBytes(), 15u + 4u + (19u + 4u) + (12u + 4u));
+
+  ResultSnapshot multi_summary;
+  multi_summary.column_names = {"c"};  // 4 + 5 = 9.
+  RowSnapshot r3;                       // Tuple 2 + 9 = 11, count 4.
+  r3.tuple = rel::Tuple({rel::Value(static_cast<int64_t>(7))});
+  r3.summaries.push_back(SummarySnapshot{"I1", "r1", {}});    // 6 + 6 + 4.
+  r3.summaries.push_back(SummarySnapshot{"Inst2", "", {}});   // 9 + 4 + 4.
+  multi_summary.rows = {r3};
+  EXPECT_EQ(multi_summary.SizeBytes(), 9u + 4u + 11u + 4u + 16u + 17u);
+
+  ResultSnapshot multi_component;
+  multi_component.column_names = {"c"};
+  RowSnapshot r4;  // Empty tuple: 2 bytes.
+  SummarySnapshot s{"S", "R", {}};                                // 5 + 5 + 4.
+  s.components.push_back(ComponentSnapshot{"Behavior", {1, 2, 3}});  // 12 + 4 + 24.
+  s.components.push_back(ComponentSnapshot{"", {}});                 // 4 + 4.
+  s.components.push_back(ComponentSnapshot{"x", {9}});               // 5 + 4 + 8.
+  r4.summaries.push_back(s);
+  multi_component.rows = {r4};
+  EXPECT_EQ(multi_component.SizeBytes(), 9u + 4u + 2u + 4u + 14u + 40u + 8u + 17u);
+
+  // The padded helper the eviction tests size their budgets with.
+  EXPECT_EQ(SnapshotOfSize(100)->SizeBytes(), 126u);
+  EXPECT_EQ(SnapshotOfSize(0)->SizeBytes(), 26u);
 }
 
 TEST(ZoomInCacheTest, EpochKeyedLookup) {
   ZoomInCache cache(CachePolicy::kLru, 1 << 20);
-  ASSERT_TRUE(cache.Init().ok());
-  ASSERT_TRUE(cache.Put(7, SnapshotOfSize(100), 1.0, /*epoch=*/5).ok());
+  cache.Put(7, SnapshotOfSize(100), 1.0, /*epoch=*/5);
 
   // Same epoch hits; a different epoch is a miss (stale summary versions);
   // the wildcard matches either way.
@@ -411,35 +476,33 @@ TEST(ZoomInCacheTest, EpochKeyedLookup) {
   EXPECT_TRUE(cache.Get(7, ZoomInCache::kAnyEpoch).ok());
 
   // An entry stored under the wildcard serves every epoch.
-  ASSERT_TRUE(cache.Put(8, SnapshotOfSize(100), 1.0).ok());
+  cache.Put(8, SnapshotOfSize(100), 1.0);
   EXPECT_TRUE(cache.Get(8, 3).ok());
   EXPECT_TRUE(cache.Get(8, 9).ok());
 }
 
-// Counter conservation under the sharded-lock path: counters are atomics
-// bumped from many threads, and every operation lands in exactly one
+// Counter conservation under concurrency: counters are bumped from many
+// threads, and every operation lands in exactly one
 // bucket, so the totals must reconcile exactly after the threads join.
 TEST(ZoomInCacheTest, ConcurrentCountersConserve) {
   ZoomInCache cache(CachePolicy::kLru, 1 << 20);  // Roomy: no evictions.
-  ASSERT_TRUE(cache.Init().ok());
   constexpr int kThreads = 8;
   constexpr int kQidsPerThread = 16;
   constexpr int kGetsPerQid = 4;
   const size_t entry_payload = 64;
 
-  std::string serialized;
-  SnapshotOfSize(entry_payload).Serialize(&serialized);
+  const size_t entry_size = SnapshotOfSize(entry_payload)->SizeBytes();
 
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      // Disjoint qid ranges spread across every shard (qid % kThreads == t).
+      // Disjoint qid ranges (qid % kThreads == t).
       for (int i = 0; i < kQidsPerThread; ++i) {
         QueryId qid = static_cast<QueryId>(t + i * kThreads);
         // Miss first, then insert, then hit.
         EXPECT_TRUE(cache.Get(qid).status().IsNotFound());
-        EXPECT_TRUE(cache.Put(qid, SnapshotOfSize(entry_payload), 1.0).ok());
+        cache.Put(qid, SnapshotOfSize(entry_payload), 1.0);
         for (int g = 0; g < kGetsPerQid; ++g) {
           EXPECT_TRUE(cache.Get(qid).ok());
         }
@@ -455,7 +518,7 @@ TEST(ZoomInCacheTest, ConcurrentCountersConserve) {
   EXPECT_EQ(stats.misses, kEntries);
   EXPECT_EQ(stats.evictions, 0u);
   EXPECT_EQ(stats.rejected, 0u);
-  EXPECT_EQ(stats.bytes_used, kEntries * serialized.size());
+  EXPECT_EQ(stats.bytes_used, kEntries * entry_size);
   for (QueryId qid = 0; qid < kEntries; ++qid) {
     EXPECT_TRUE(cache.Contains(qid)) << qid;
   }
@@ -464,12 +527,10 @@ TEST(ZoomInCacheTest, ConcurrentCountersConserve) {
 // Conservation with evictions: insertions == evictions + live entries,
 // and bytes_used equals the live entries' total serialized size.
 TEST(ZoomInCacheTest, ConcurrentEvictionConservation) {
-  std::string serialized;
-  SnapshotOfSize(64).Serialize(&serialized);
+  const size_t entry_size = SnapshotOfSize(64)->SizeBytes();
   // Budget fits ~20 entries, so concurrent inserts of 128 distinct qids
   // must evict; the directory totals still have to reconcile.
-  ZoomInCache cache(CachePolicy::kLru, serialized.size() * 20);
-  ASSERT_TRUE(cache.Init().ok());
+  ZoomInCache cache(CachePolicy::kLru, entry_size * 20);
   constexpr int kThreads = 8;
   constexpr int kQidsPerThread = 16;
 
@@ -479,7 +540,7 @@ TEST(ZoomInCacheTest, ConcurrentEvictionConservation) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kQidsPerThread; ++i) {
         QueryId qid = static_cast<QueryId>(t + i * kThreads);
-        EXPECT_TRUE(cache.Put(qid, SnapshotOfSize(64), 1.0).ok());
+        cache.Put(qid, SnapshotOfSize(64), 1.0);
         (void)cache.Get(qid);  // May hit or miss (already evicted).
       }
     });
@@ -493,7 +554,7 @@ TEST(ZoomInCacheTest, ConcurrentEvictionConservation) {
   }
   EXPECT_EQ(stats.insertions, static_cast<uint64_t>(kThreads * kQidsPerThread));
   EXPECT_EQ(stats.insertions, stats.evictions + live);
-  EXPECT_EQ(stats.bytes_used, live * serialized.size());
+  EXPECT_EQ(stats.bytes_used, live * entry_size);
   EXPECT_EQ(stats.hits + stats.misses,
             static_cast<uint64_t>(kThreads * kQidsPerThread));
 }

@@ -78,8 +78,22 @@ std::string SummaryFingerprint(Engine* engine) {
   }
   auto snapshot = ResultSnapshot::Capture(schema, rows);
   EXPECT_TRUE(snapshot.ok());
+  // Length-prefixed strings, so distinct snapshots never concatenate alike.
   std::string bytes;
-  snapshot->Serialize(&bytes);
+  auto put = [&bytes](const std::string& s) {
+    bytes += std::to_string(s.size()) + ":" + s;
+  };
+  for (const RowSnapshot& row : snapshot->rows) {
+    row.tuple.Serialize(&bytes);
+    for (const SummarySnapshot& summary : row.summaries) {
+      put(summary.instance);
+      put(summary.rendered);
+      for (const ComponentSnapshot& component : summary.components) {
+        put(component.label);
+        for (ann::AnnotationId id : component.ids) put(std::to_string(id));
+      }
+    }
+  }
   return bytes;
 }
 
