@@ -20,6 +20,28 @@ using TupleIndex = std::unordered_map<rel::Tuple, size_t, TupleHash>;
 // merged summary state and its hash-index entry.
 constexpr size_t kGroupStateApproxBytes = 256;
 
+// Finalizes `groups` (first-seen order) into `out`: the key values, then
+// one value per aggregate, carrying each group's merged summaries. A
+// global aggregate (`global`) over empty input still emits one row of
+// zero counts.
+Status FinalizeGroups(const std::vector<AggregateItem>& aggregates, bool global,
+                      std::vector<AggGroup>* groups, MaterializedRows* out) {
+  if (groups->empty() && global) {
+    groups->emplace_back().states.resize(aggregates.size());
+  }
+  out->rows.reserve(groups->size());
+  for (AggGroup& group : *groups) {
+    core::AnnotatedTuple& row = out->rows.emplace_back(std::move(group.key));
+    for (size_t i = 0; i < aggregates.size(); ++i) {
+      INSIGHTNOTES_ASSIGN_OR_RETURN(
+          rel::Value v, FinalizeAggregate(group.states[i], aggregates[i].fn));
+      row.tuple.Append(std::move(v));
+    }
+    group.summary.Release(&row);
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 std::string_view AggregateFunctionToString(AggregateFunction fn) {
@@ -222,10 +244,10 @@ AggregateOperator::AggregateOperator(std::unique_ptr<Operator> child,
 
 Status AggregateOperator::OpenImpl() {
   INSIGHTNOTES_RETURN_IF_ERROR(child_->Open());
-  groups_.clear();
-  cursor_ = 0;
+  results_.Clear();
   ReleaseMemory();
 
+  std::vector<AggGroup> groups;  // Deterministic: first-seen order.
   TupleIndex index;
   core::AnnotatedBatch batch;
   while (true) {
@@ -237,9 +259,9 @@ Status AggregateOperator::OpenImpl() {
         INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Value v, expr->Evaluate(in.tuple));
         key.Append(std::move(v));
       }
-      auto [it, inserted] = index.emplace(key, groups_.size());
+      auto [it, inserted] = index.emplace(key, groups.size());
       if (inserted) {
-        Group group;
+        AggGroup group;
         group.key = std::move(key);
         INSIGHTNOTES_RETURN_IF_ERROR(ChargeMemory(
             core::ApproxBytes(group.key) + kGroupStateApproxBytes +
@@ -251,9 +273,9 @@ Status AggregateOperator::OpenImpl() {
         group.states.resize(aggregates_.size());
         INSIGHTNOTES_RETURN_IF_ERROR(AccumulateAggregates(
             aggregates_, in.tuple, &group.states, /*record_terms=*/false));
-        groups_.push_back(std::move(group));
+        groups.push_back(std::move(group));
       } else {
-        Group& group = groups_[it->second];
+        AggGroup& group = groups[it->second];
         INSIGHTNOTES_RETURN_IF_ERROR(group.summary.Fold(in));
         INSIGHTNOTES_RETURN_IF_ERROR(AccumulateAggregates(
             aggregates_, in.tuple, &group.states, /*record_terms=*/false));
@@ -261,28 +283,7 @@ Status AggregateOperator::OpenImpl() {
     }
   }
 
-  // Global aggregate over empty input still emits one row of zero counts.
-  if (groups_.empty() && group_exprs_.empty()) {
-    Group group;
-    group.states.resize(aggregates_.size());
-    groups_.push_back(std::move(group));
-  }
-  return Status::OK();
-}
-
-Result<bool> AggregateOperator::NextImpl(core::AnnotatedTuple* out) {
-  if (cursor_ >= groups_.size()) return false;
-  Group& group = groups_[cursor_++];
-  rel::Tuple result = group.key;
-  for (size_t i = 0; i < aggregates_.size(); ++i) {
-    INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Value v,
-                                  FinalizeAggregate(group.states[i], aggregates_[i].fn));
-    result.Append(std::move(v));
-  }
-  out->tuple = std::move(result);
-  group.summary.Release(out);
-  Trace(*out);
-  return true;
+  return FinalizeGroups(aggregates_, group_exprs_.empty(), &groups, &results_);
 }
 
 std::string AggregateOperator::Name() const {
@@ -313,11 +314,6 @@ PartialAggregateOperator::PartialAggregateOperator(
       aggregates_(std::move(aggregates)),
       sink_(std::move(sink)) {}
 
-Result<bool> PartialAggregateOperator::NextImpl(core::AnnotatedTuple*) {
-  core::AnnotatedBatch batch;
-  return NextBatchImpl(&batch);
-}
-
 Result<bool> PartialAggregateOperator::NextBatchImpl(core::AnnotatedBatch*) {
   // Drain the whole pipeline here: each child batch is one morsel (the
   // morsel scan emits one batch per morsel and every per-tuple stage maps
@@ -339,7 +335,7 @@ Result<bool> PartialAggregateOperator::NextBatchImpl(core::AnnotatedBatch*) {
       }
       auto [it, inserted] = index.emplace(key, partial.groups.size());
       if (inserted) {
-        PartialAggState::PartialGroup group;
+        AggGroup group;
         group.key = std::move(key);
         group.summary.Seed(&in, /*whole_row=*/true,
                            /*reserve_hint=*/in.attachments.size() * 2);
@@ -348,7 +344,7 @@ Result<bool> PartialAggregateOperator::NextBatchImpl(core::AnnotatedBatch*) {
             aggregates_, in.tuple, &group.states, /*record_terms=*/true));
         partial.groups.push_back(std::move(group));
       } else {
-        PartialAggState::PartialGroup& group = partial.groups[it->second];
+        AggGroup& group = partial.groups[it->second];
         INSIGHTNOTES_RETURN_IF_ERROR(group.summary.Fold(in));
         INSIGHTNOTES_RETURN_IF_ERROR(AccumulateAggregates(
             aggregates_, in.tuple, &group.states, /*record_terms=*/true));
@@ -358,7 +354,7 @@ Result<bool> PartialAggregateOperator::NextBatchImpl(core::AnnotatedBatch*) {
     // Group tables + recorded SUM/AVG replay terms for this morsel.
     size_t partial_bytes =
         batch.tuples.size() * aggregates_.size() * sizeof(double);
-    for (const PartialAggState::PartialGroup& group : partial.groups) {
+    for (const AggGroup& group : partial.groups) {
       partial_bytes += core::ApproxBytes(group.key) + kGroupStateApproxBytes +
                        aggregates_.size() * sizeof(AggState);
     }
@@ -384,8 +380,7 @@ AggregateMergeOperator::AggregateMergeOperator(
                                   group_columns, aggregates_)) {}
 
 Status AggregateMergeOperator::OpenImpl() {
-  groups_.clear();
-  cursor_ = 0;
+  results_.Clear();
   // Opening the gather drains every worker pipeline (the pool futures it
   // joins provide the happens-before edge for the published partials).
   INSIGHTNOTES_RETURN_IF_ERROR(child_->Open());
@@ -396,14 +391,15 @@ Status AggregateMergeOperator::OpenImpl() {
   std::sort(partials.begin(), partials.end(),
             [](const PartialAggState::MorselPartial& a,
                const PartialAggState::MorselPartial& b) { return a.morsel < b.morsel; });
+  std::vector<AggGroup> groups;  // First-seen order.
   TupleIndex index;
   for (PartialAggState::MorselPartial& partial : partials) {
-    for (PartialAggState::PartialGroup& group : partial.groups) {
-      auto [it, inserted] = index.emplace(group.key, groups_.size());
+    for (AggGroup& group : partial.groups) {
+      auto [it, inserted] = index.emplace(group.key, groups.size());
       if (inserted) {
-        groups_.push_back(std::move(group));
+        groups.push_back(std::move(group));
       } else {
-        PartialAggState::PartialGroup& into = groups_[it->second];
+        AggGroup& into = groups[it->second];
         INSIGHTNOTES_RETURN_IF_ERROR(into.summary.Combine(std::move(group.summary)));
         for (size_t i = 0; i < aggregates_.size(); ++i) {
           INSIGHTNOTES_RETURN_IF_ERROR(
@@ -413,34 +409,13 @@ Status AggregateMergeOperator::OpenImpl() {
     }
   }
   // All terms are concatenated in morsel order now; replay the float sums.
-  for (PartialAggState::PartialGroup& group : groups_) {
+  for (AggGroup& group : groups) {
     for (AggState& state : group.states) FoldAggTerms(&state);
-  }
-  // Global aggregate over empty input still emits one row of zero counts.
-  if (groups_.empty() && group_exprs_.empty()) {
-    PartialAggState::PartialGroup group;
-    group.states.resize(aggregates_.size());
-    groups_.push_back(std::move(group));
   }
   if (metrics_enabled_) {
     metrics_.merge_ns += static_cast<uint64_t>(watch.ElapsedNanos());
   }
-  return Status::OK();
-}
-
-Result<bool> AggregateMergeOperator::NextImpl(core::AnnotatedTuple* out) {
-  if (cursor_ >= groups_.size()) return false;
-  PartialAggState::PartialGroup& group = groups_[cursor_++];
-  rel::Tuple result = group.key;
-  for (size_t i = 0; i < aggregates_.size(); ++i) {
-    INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Value v,
-                                  FinalizeAggregate(group.states[i], aggregates_[i].fn));
-    result.Append(std::move(v));
-  }
-  out->tuple = std::move(result);
-  group.summary.Release(out);
-  Trace(*out);
-  return true;
+  return FinalizeGroups(aggregates_, group_exprs_.empty(), &groups, &results_);
 }
 
 std::string AggregateMergeOperator::Name() const {

@@ -58,6 +58,14 @@ struct AggState {
   std::vector<double> terms;
 };
 
+/// One group of either aggregation shape: key values, the merged summary
+/// state and one accumulator per aggregate item.
+struct AggGroup {
+  rel::Tuple key;
+  core::PartialSummaryState summary;
+  std::vector<AggState> states;
+};
+
 /// Folds one input tuple into `states` (parallel to `items`). With
 /// `record_terms`, SUM/AVG terms are appended to AggState::terms for the
 /// deferred morsel-order replay instead of added to `sum` directly.
@@ -107,22 +115,17 @@ class AggregateOperator final : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
+  Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override {
+    return EmitRows(&results_, out);
+  }
 
  private:
-  struct Group {
-    rel::Tuple key;  // Group key values.
-    core::PartialSummaryState summary;
-    std::vector<AggState> states;
-  };
-
   std::unique_ptr<Operator> child_;
   std::vector<rel::ExprPtr> group_exprs_;
   std::vector<AggregateItem> aggregates_;
   rel::Schema schema_;
 
-  std::vector<Group> groups_;  // Deterministic: first-seen order.
-  size_t cursor_ = 0;
+  MaterializedRows results_;  // Finalized groups, first-seen order.
 };
 
 /// Shared sink of the parallel aggregation shape: per-morsel partial group
@@ -131,14 +134,9 @@ class AggregateOperator final : public Operator {
 /// AggregateMergeOperator.
 class PartialAggState final : public SharedPlanState {
  public:
-  struct PartialGroup {
-    rel::Tuple key;
-    core::PartialSummaryState summary;
-    std::vector<AggState> states;
-  };
   struct MorselPartial {
     uint64_t morsel = 0;
-    std::vector<PartialGroup> groups;  // First-seen order within the morsel.
+    std::vector<AggGroup> groups;  // First-seen order within the morsel.
   };
 
   Status Reset() override;
@@ -175,7 +173,6 @@ class PartialAggregateOperator final : public Operator {
     ReleaseMemory();  // Previous execution's partial-table charges.
     return child_->Open();
   }
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
   Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override;
 
  private:
@@ -203,7 +200,9 @@ class AggregateMergeOperator final : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
+  Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override {
+    return EmitRows(&results_, out);
+  }
 
  private:
   std::unique_ptr<Operator> child_;
@@ -212,8 +211,7 @@ class AggregateMergeOperator final : public Operator {
   std::shared_ptr<PartialAggState> source_;
   rel::Schema schema_;
 
-  std::vector<PartialAggState::PartialGroup> groups_;  // First-seen order.
-  size_t cursor_ = 0;
+  MaterializedRows results_;  // Finalized groups, first-seen order.
 };
 
 }  // namespace insightnotes::exec

@@ -20,32 +20,25 @@ using TupleIndex = std::unordered_map<rel::Tuple, size_t, TupleHash>;
 
 Status DistinctOperator::OpenImpl() {
   INSIGHTNOTES_RETURN_IF_ERROR(child_->Open());
-  results_.clear();
-  cursor_ = 0;
+  results_.Clear();
   ReleaseMemory();
+  std::vector<core::AnnotatedTuple>& rows = results_.rows;
   TupleIndex index;
   core::AnnotatedBatch batch;
   while (true) {
     INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&batch));
     if (!more) break;
     for (core::AnnotatedTuple& in : batch.tuples) {
-      auto [it, inserted] = index.emplace(in.tuple, results_.size());
+      auto [it, inserted] = index.emplace(in.tuple, rows.size());
       if (inserted) {
         INSIGHTNOTES_RETURN_IF_ERROR(ChargeMemory(core::ApproxBytes(in)));
-        results_.push_back(std::move(in));
+        rows.push_back(std::move(in));
       } else {
-        INSIGHTNOTES_RETURN_IF_ERROR(core::MergeForGrouping(&results_[it->second], in));
+        INSIGHTNOTES_RETURN_IF_ERROR(core::MergeForGrouping(&rows[it->second], in));
       }
     }
   }
   return Status::OK();
-}
-
-Result<bool> DistinctOperator::NextImpl(core::AnnotatedTuple* out) {
-  if (cursor_ >= results_.size()) return false;
-  *out = std::move(results_[cursor_++]);
-  Trace(*out);
-  return true;
 }
 
 Status PartialDistinctState::Reset() {
@@ -62,11 +55,6 @@ void PartialDistinctState::Publish(MorselPartial&& partial) {
 std::vector<PartialDistinctState::MorselPartial> PartialDistinctState::Take() {
   std::lock_guard<std::mutex> lock(mutex_);
   return std::move(partials_);
-}
-
-Result<bool> PartialDistinctOperator::NextImpl(core::AnnotatedTuple*) {
-  core::AnnotatedBatch batch;
-  return NextBatchImpl(&batch);
 }
 
 Result<bool> PartialDistinctOperator::NextBatchImpl(core::AnnotatedBatch*) {
@@ -104,8 +92,7 @@ Result<bool> PartialDistinctOperator::NextBatchImpl(core::AnnotatedBatch*) {
 }
 
 Status DistinctMergeOperator::OpenImpl() {
-  results_.clear();
-  cursor_ = 0;
+  results_.Clear();
   INSIGHTNOTES_RETURN_IF_ERROR(child_->Open());
   std::vector<PartialDistinctState::MorselPartial> partials = source_->Take();
   Stopwatch watch;
@@ -114,31 +101,27 @@ Status DistinctMergeOperator::OpenImpl() {
                const PartialDistinctState::MorselPartial& b) {
               return a.morsel < b.morsel;
             });
+  std::vector<PartialDistinctState::Entry> merged;  // First-seen order.
   TupleIndex index;
   for (PartialDistinctState::MorselPartial& partial : partials) {
     for (PartialDistinctState::Entry& entry : partial.entries) {
-      auto [it, inserted] = index.emplace(entry.tuple, results_.size());
+      auto [it, inserted] = index.emplace(entry.tuple, merged.size());
       if (inserted) {
-        results_.push_back(std::move(entry));
+        merged.push_back(std::move(entry));
       } else {
         INSIGHTNOTES_RETURN_IF_ERROR(
-            results_[it->second].summary.Combine(std::move(entry.summary)));
+            merged[it->second].summary.Combine(std::move(entry.summary)));
       }
     }
   }
   if (metrics_enabled_) {
     metrics_.merge_ns += static_cast<uint64_t>(watch.ElapsedNanos());
   }
+  results_.rows.reserve(merged.size());
+  for (PartialDistinctState::Entry& entry : merged) {
+    entry.summary.Release(&results_.rows.emplace_back(std::move(entry.tuple)));
+  }
   return Status::OK();
-}
-
-Result<bool> DistinctMergeOperator::NextImpl(core::AnnotatedTuple* out) {
-  if (cursor_ >= results_.size()) return false;
-  PartialDistinctState::Entry& entry = results_[cursor_++];
-  out->tuple = std::move(entry.tuple);
-  entry.summary.Release(out);
-  Trace(*out);
-  return true;
 }
 
 }  // namespace insightnotes::exec

@@ -35,12 +35,13 @@ class DistinctOperator final : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
+  Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override {
+    return EmitRows(&results_, out);
+  }
 
  private:
   std::unique_ptr<Operator> child_;
-  std::vector<core::AnnotatedTuple> results_;  // First-seen order.
-  size_t cursor_ = 0;
+  MaterializedRows results_;  // First-seen order.
 };
 
 /// Shared sink of the parallel distinct shape: one distinct set per
@@ -85,7 +86,6 @@ class PartialDistinctOperator final : public Operator {
     ReleaseMemory();  // Previous execution's distinct-set charges.
     return child_->Open();
   }
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
   Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override;
 
  private:
@@ -108,14 +108,15 @@ class DistinctMergeOperator final : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
+  Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override {
+    return EmitRows(&results_, out);
+  }
 
  private:
   std::unique_ptr<Operator> child_;
   std::shared_ptr<PartialDistinctState> source_;
 
-  std::vector<PartialDistinctState::Entry> results_;  // First-seen order.
-  size_t cursor_ = 0;
+  MaterializedRows results_;  // First-seen order.
 };
 
 }  // namespace insightnotes::exec

@@ -24,10 +24,9 @@ class FilterOperator final : public Operator {
 
  protected:
   Status OpenImpl() override { return child_->Open(); }
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
-  /// Native batch path: consumes exactly one child batch per call and
-  /// filters it in place, preserving the morsel tag. The output batch may
-  /// be empty (only a `false` return means exhausted).
+  /// Consumes exactly one child batch per call and filters it in place,
+  /// preserving the morsel tag. The output batch may be empty (only a
+  /// `false` return means exhausted).
   Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override;
 
  private:

@@ -120,14 +120,18 @@ const std::vector<size_t>* HashJoinBuildState::Find(const rel::Value& key) const
 HashJoinProbeOperator::HashJoinProbeOperator(std::unique_ptr<Operator> child,
                                              std::shared_ptr<HashJoinBuildState> state,
                                              rel::ExprPtr probe_key, bool expose_build)
-    : child_(std::move(child)),
-      state_(std::move(state)),
+    : state_(std::move(state)),
+      child_(std::move(child)),
       probe_key_(std::move(probe_key)),
       expose_build_(expose_build),
       schema_(rel::Schema::Concat(child_->OutputSchema(), state_->schema())) {}
 
+std::string HashJoinProbeOperator::Condition() const {
+  return probe_key_->ToString() + " = " + state_->key_name();
+}
+
 std::string HashJoinProbeOperator::Name() const {
-  return "HashJoinProbe(" + probe_key_->ToString() + " = " + state_->key_name() + ")";
+  return "HashJoinProbe(" + Condition() + ")";
 }
 
 std::vector<Operator*> HashJoinProbeOperator::Children() {
@@ -137,85 +141,55 @@ std::vector<Operator*> HashJoinProbeOperator::Children() {
 
 Status HashJoinProbeOperator::OpenImpl() {
   // The shared build state is reset by the GatherOperator, not here.
-  pending_.Clear();
-  pending_pos_ = 0;
+  in_.Clear();
+  in_pos_ = 0;
   metrics_.build_partitions = state_->num_partitions();
   return child_->Open();
 }
 
 Result<bool> HashJoinProbeOperator::NextBatchImpl(core::AnnotatedBatch* out) {
-  core::AnnotatedBatch in;
-  INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&in));
-  if (!more) return false;
-  out->tuples.clear();
-  out->morsel = in.morsel;
-  for (const core::AnnotatedTuple& left : in.tuples) {
+  if (in_pos_ >= in_.tuples.size()) {  // The previous probe batch is done.
+    INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&in_));
+    if (!more) return false;
+    in_pos_ = 0;
+    match_pos_ = 0;
+  }
+  out->morsel = in_.morsel;
+  for (; in_pos_ < in_.tuples.size(); ++in_pos_, match_pos_ = 0) {
+    const core::AnnotatedTuple& left = in_.tuples[in_pos_];
     INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Value key, probe_key_->Evaluate(left.tuple));
     const std::vector<size_t>* matches = state_->Find(key);
     if (matches == nullptr) continue;
-    for (size_t index : *matches) {
-      core::AnnotatedTuple joined = left.Clone();
+    for (; match_pos_ < matches->size(); ++match_pos_) {
+      if (out->tuples.size() >= max_batch_rows_) return true;
+      core::AnnotatedTuple& joined = out->tuples.emplace_back(left.Clone());
       INSIGHTNOTES_RETURN_IF_ERROR(
-          core::MergeAnnotatedTuples(&joined, state_->Row(index)));
+          core::MergeAnnotatedTuples(&joined, state_->Row((*matches)[match_pos_])));
       Trace(joined);
-      out->tuples.push_back(std::move(joined));
     }
   }
-  return true;
-}
-
-Result<bool> HashJoinProbeOperator::NextImpl(core::AnnotatedTuple* out) {
-  while (pending_pos_ >= pending_.tuples.size()) {
-    INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, NextBatchImpl(&pending_));
-    if (!more) return false;
-    pending_pos_ = 0;
-  }
-  *out = std::move(pending_.tuples[pending_pos_++]);
   return true;
 }
 
 HashJoinOperator::HashJoinOperator(std::unique_ptr<Operator> left,
                                    std::unique_ptr<Operator> right,
                                    rel::ExprPtr left_key, rel::ExprPtr right_key)
-    : left_(std::move(left)),
-      left_key_(std::move(left_key)),
-      state_(std::make_shared<HashJoinBuildState>(std::move(right),
-                                                  std::move(right_key),
-                                                  /*num_partitions=*/1,
-                                                  /*pool=*/nullptr)),
-      schema_(rel::Schema::Concat(left_->OutputSchema(), state_->schema())) {}
-
-Status HashJoinOperator::OpenImpl() {
-  INSIGHTNOTES_RETURN_IF_ERROR(left_->Open());
-  INSIGHTNOTES_RETURN_IF_ERROR(state_->Reset());
-  matches_ = nullptr;
-  match_index_ = 0;
-  left_valid_ = false;
-  metrics_.build_partitions = state_->num_partitions();
-  return Status::OK();
+    : HashJoinProbeOperator(
+          std::move(left),
+          std::make_shared<HashJoinBuildState>(std::move(right), std::move(right_key),
+                                               /*num_partitions=*/1,
+                                               /*pool=*/nullptr),
+          std::move(left_key), /*expose_build=*/true) {
+  max_batch_rows_ = kDefaultBatchSize;
 }
 
-Result<bool> HashJoinOperator::NextImpl(core::AnnotatedTuple* out) {
-  while (true) {
-    if (left_valid_ && matches_ != nullptr && match_index_ < matches_->size()) {
-      const core::AnnotatedTuple& right_tuple = state_->Row((*matches_)[match_index_++]);
-      // Clone the probe tuple: it may pair with several build tuples.
-      *out = current_left_.Clone();
-      INSIGHTNOTES_RETURN_IF_ERROR(core::MergeAnnotatedTuples(out, right_tuple));
-      Trace(*out);
-      return true;
-    }
-    INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, left_->Next(&current_left_));
-    if (!more) return false;
-    left_valid_ = true;
-    INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Value key, left_key_->Evaluate(current_left_.tuple));
-    match_index_ = 0;
-    matches_ = state_->Find(key);
-  }
+Status HashJoinOperator::OpenImpl() {
+  INSIGHTNOTES_RETURN_IF_ERROR(HashJoinProbeOperator::OpenImpl());
+  return state_->Reset();
 }
 
 std::string HashJoinOperator::Name() const {
-  return "HashJoin(" + left_key_->ToString() + " = " + state_->key_name() + ")";
+  return "HashJoin(" + Condition() + ")";
 }
 
 }  // namespace insightnotes::exec

@@ -9,13 +9,15 @@
 // partition maps store *indexes into the ordered row vector*, appended by
 // a single worker scanning in input order, each key's match list is in
 // serial build-insertion order regardless of P: probes produce exactly the
-// serial operator's output. The serial HashJoinOperator owns a
-// single-partition state; the parallel planner shares one multi-partition
-// state across P HashJoinProbeOperators (see exec/parallel.h).
+// serial operator's output. The serial HashJoinOperator is a
+// HashJoinProbeOperator over a single-partition state it owns and resets
+// at Open; the parallel planner shares one multi-partition state across P
+// HashJoinProbeOperators (see exec/parallel.h).
 
 #ifndef INSIGHTNOTES_EXEC_HASH_JOIN_H_
 #define INSIGHTNOTES_EXEC_HASH_JOIN_H_
 
+#include <cstdint>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -23,7 +25,7 @@
 #include "exec/operator.h"
 #include "exec/parallel.h"
 #include "rel/expression.h"
-#include "rel/index.h"
+#include "rel/index.h"  // ValueHash, ValueEq.
 
 namespace insightnotes::exec {
 
@@ -73,8 +75,11 @@ class HashJoinBuildState final : public SharedPlanState {
 
 /// Probe stage over a shared (or owned) build state. Used per worker
 /// pipeline by the parallel planner; Open does NOT reset the state (the
-/// GatherOperator resets each shared state exactly once).
-class HashJoinProbeOperator final : public Operator {
+/// GatherOperator resets each shared state exactly once). Inside a
+/// parallel section each probe batch yields exactly one output batch with
+/// the same morsel tag, as the gather and the partial operators above it
+/// require, however many matches it has.
+class HashJoinProbeOperator : public Operator {
  public:
   /// `expose_build` lists the build input as a child (exactly one probe
   /// per shared state should, so trace/metrics visit the build once).
@@ -96,51 +101,42 @@ class HashJoinProbeOperator final : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
   Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override;
+
+  /// "probe_key = build_key", the Name() argument of both join forms.
+  std::string Condition() const;
+
+  std::shared_ptr<HashJoinBuildState> state_;
+  /// Output rows per batch before the probe cuts it and resumes at the
+  /// next call; unbounded keeps the one-batch-per-morsel mapping.
+  size_t max_batch_rows_ = SIZE_MAX;
 
  private:
   std::unique_ptr<Operator> child_;
-  std::shared_ptr<HashJoinBuildState> state_;
   rel::ExprPtr probe_key_;
   bool expose_build_;
   rel::Schema schema_;
-  // Tuple-at-a-time adapter state (NextBatch is the native interface).
-  core::AnnotatedBatch pending_;
-  size_t pending_pos_ = 0;
+
+  core::AnnotatedBatch in_;  // Current probe batch.
+  size_t in_pos_ = 0;        // Probe tuple being joined.
+  size_t match_pos_ = 0;     // Next match for it.
 };
 
-class HashJoinOperator final : public Operator {
+/// Serial hash join: the probe stage over a single-partition build state
+/// it owns, built from `right` at every Open. Outside a parallel section
+/// no morsel mapping has to hold, so it cuts its output at
+/// kDefaultBatchSize rows, like the nested-loop join: a high fan-out key
+/// never materializes one probe batch's matches at once.
+class HashJoinOperator final : public HashJoinProbeOperator {
  public:
   /// Joins on left_key == right_key (each evaluated against its side).
   HashJoinOperator(std::unique_ptr<Operator> left, std::unique_ptr<Operator> right,
                    rel::ExprPtr left_key, rel::ExprPtr right_key);
 
-  const rel::Schema& OutputSchema() const override { return schema_; }
   std::string Name() const override;
-  std::vector<Operator*> Children() override {
-    return {left_.get(), state_->input()};
-  }
-  void SetQueryContext(std::shared_ptr<QueryContext> context) override {
-    Operator::SetQueryContext(context);
-    state_->AttachQueryContext(context_);
-  }
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
-
- private:
-  std::unique_ptr<Operator> left_;
-  rel::ExprPtr left_key_;
-  std::shared_ptr<HashJoinBuildState> state_;  // Owned; single partition.
-  rel::Schema schema_;
-
-  // Probe state.
-  core::AnnotatedTuple current_left_;
-  const std::vector<size_t>* matches_ = nullptr;
-  size_t match_index_ = 0;
-  bool left_valid_ = false;
 };
 
 }  // namespace insightnotes::exec

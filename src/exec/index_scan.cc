@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/engine_snapshot.h"
+#include "exec/seq_scan.h"
 
 namespace insightnotes::exec {
 
@@ -73,32 +74,22 @@ Status IndexScanOperator::OpenImpl() {
   return Status::OK();
 }
 
-Result<bool> IndexScanOperator::NextImpl(core::AnnotatedTuple* out) {
-  while (cursor_ < rows_.size()) {
-    size_t position = cursor_;
-    rel::RowId row = rows_[cursor_++];
+Result<bool> IndexScanOperator::NextBatchImpl(core::AnnotatedBatch* out) {
+  if (cursor_ >= rows_.size()) return false;
+  size_t end = std::min(rows_.size(), cursor_ + kDefaultBatchSize);
+  for (; cursor_ < end; ++cursor_) {
+    rel::RowId row = rows_[cursor_];
     if (!table_->IsLive(row)) continue;  // Deleted since the probe.
     INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Tuple tuple, table_->Get(row));
-    *out = core::AnnotatedTuple(std::move(tuple));
-    if (stamp_ranks_) out->order_ranks.assign(1, static_cast<uint32_t>(position));
+    core::AnnotatedTuple& emitted = out->tuples.emplace_back(std::move(tuple));
+    if (stamp_ranks_) emitted.order_ranks.assign(1, static_cast<uint32_t>(cursor_));
     if (with_summaries_) {
-      if (snapshot_ != nullptr) {
-        INSIGHTNOTES_ASSIGN_OR_RETURN(
-            out->summaries, snapshot_->SummariesFor(table_->id(), row));
-        snapshot_->AppendAttachments(table_->id(), row, &out->attachments);
-      } else {
-        INSIGHTNOTES_ASSIGN_OR_RETURN(out->summaries,
-                                      manager_->SummariesFor(table_->id(), row));
-        for (const ann::Attachment& att : store_->OnRow(table_->id(), row)) {
-          if (store_->IsArchived(att.annotation)) continue;
-          out->attachments.push_back(core::AttachmentInfo{att.annotation, att.columns});
-        }
-      }
+      INSIGHTNOTES_RETURN_IF_ERROR(AttachRowAnnotations(
+          snapshot_.get(), manager_, store_, table_->id(), row, &emitted));
     }
-    Trace(*out);
-    return true;
+    Trace(emitted);
   }
-  return false;
+  return true;
 }
 
 }  // namespace insightnotes::exec

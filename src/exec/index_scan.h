@@ -64,7 +64,9 @@ class IndexScanOperator final : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
+  /// Consumes up to kDefaultBatchSize probed rows per call, skipping rows
+  /// deleted since the probe (the batch may come out empty).
+  Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override;
 
  private:
   const rel::Table* table_;

@@ -14,8 +14,9 @@ Status NestedLoopJoinOperator::OpenImpl() {
   INSIGHTNOTES_RETURN_IF_ERROR(left_->Open());
   INSIGHTNOTES_RETURN_IF_ERROR(right_->Open());
   right_tuples_.clear();
+  left_batch_.Clear();
+  left_pos_ = 0;
   right_index_ = 0;
-  left_valid_ = false;
   ReleaseMemory();
   right_tuples_.reserve(right_->EstimatedRows());
   core::AnnotatedBatch batch;
@@ -30,25 +31,32 @@ Status NestedLoopJoinOperator::OpenImpl() {
   return Status::OK();
 }
 
-Result<bool> NestedLoopJoinOperator::NextImpl(core::AnnotatedTuple* out) {
-  while (true) {
-    if (!left_valid_ || right_index_ >= right_tuples_.size()) {
-      INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, left_->Next(&current_left_));
-      if (!more) return false;
-      left_valid_ = true;
-      right_index_ = 0;
-    }
-    while (right_index_ < right_tuples_.size()) {
+Result<bool> NestedLoopJoinOperator::NextBatchImpl(core::AnnotatedBatch* out) {
+  while (left_pos_ >= left_batch_.tuples.size()) {
+    INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, left_->NextBatch(&left_batch_));
+    if (!more) return false;
+    left_pos_ = 0;
+    right_index_ = 0;
+  }
+  while (left_pos_ < left_batch_.tuples.size() &&
+         out->tuples.size() < kDefaultBatchSize) {
+    const core::AnnotatedTuple& left = left_batch_.tuples[left_pos_];
+    while (right_index_ < right_tuples_.size() &&
+           out->tuples.size() < kDefaultBatchSize) {
       const core::AnnotatedTuple& right_tuple = right_tuples_[right_index_++];
-      rel::Tuple combined = rel::Tuple::Concat(current_left_.tuple, right_tuple.tuple);
+      rel::Tuple combined = rel::Tuple::Concat(left.tuple, right_tuple.tuple);
       INSIGHTNOTES_ASSIGN_OR_RETURN(bool match, predicate_->EvaluateBool(combined));
       if (!match) continue;
-      *out = current_left_.Clone();
-      INSIGHTNOTES_RETURN_IF_ERROR(core::MergeAnnotatedTuples(out, right_tuple));
-      Trace(*out);
-      return true;
+      core::AnnotatedTuple& joined = out->tuples.emplace_back(left.Clone());
+      INSIGHTNOTES_RETURN_IF_ERROR(core::MergeAnnotatedTuples(&joined, right_tuple));
+      Trace(joined);
+    }
+    if (right_index_ >= right_tuples_.size()) {
+      ++left_pos_;
+      right_index_ = 0;
     }
   }
+  return true;
 }
 
 }  // namespace insightnotes::exec

@@ -24,7 +24,9 @@ class NestedLoopJoinOperator final : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
+  /// Emits at most kDefaultBatchSize joined tuples per call, resuming the
+  /// (left batch, right index) cursor where the previous call stopped.
+  Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override;
 
  private:
   std::unique_ptr<Operator> left_;
@@ -33,9 +35,9 @@ class NestedLoopJoinOperator final : public Operator {
   rel::Schema schema_;
 
   std::vector<core::AnnotatedTuple> right_tuples_;  // Materialized inner.
-  core::AnnotatedTuple current_left_;
-  size_t right_index_ = 0;
-  bool left_valid_ = false;
+  core::AnnotatedBatch left_batch_;  // Current outer batch.
+  size_t left_pos_ = 0;              // Outer tuple being joined.
+  size_t right_index_ = 0;           // Next inner tuple for it.
 };
 
 }  // namespace insightnotes::exec

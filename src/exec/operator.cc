@@ -1,11 +1,14 @@
 #include "exec/operator.h"
 
+#include <algorithm>
+
 #include "common/clock.h"
 
 namespace insightnotes::exec {
 
 Status Operator::Open() {
-  next_calls_ = 0;
+  root_batch_.Clear();
+  root_pos_ = 0;
   INSIGHTNOTES_RETURN_IF_ERROR(CheckInterrupt());
   if (!metrics_enabled_) return OpenImpl();
   Stopwatch watch;
@@ -15,19 +18,13 @@ Status Operator::Open() {
 }
 
 Result<bool> Operator::Next(core::AnnotatedTuple* out) {
-  if (++next_calls_ % kInterruptStride == 0) {
-    INSIGHTNOTES_RETURN_IF_ERROR(CheckInterrupt());
+  while (root_pos_ >= root_batch_.tuples.size()) {
+    INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, NextBatch(&root_batch_));
+    root_pos_ = 0;
+    if (!more) return false;
   }
-  if (!metrics_enabled_) {
-    INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, NextImpl(out));
-    if (more) ++metrics_.rows_out;
-    return more;
-  }
-  Stopwatch watch;
-  Result<bool> more = NextImpl(out);
-  metrics_.wall_ns += static_cast<uint64_t>(watch.ElapsedNanos());
-  if (more.ok() && *more) ++metrics_.rows_out;
-  return more;
+  *out = std::move(root_batch_.tuples[root_pos_++]);
+  return true;
 }
 
 Result<bool> Operator::NextBatch(core::AnnotatedBatch* out) {
@@ -56,18 +53,21 @@ Status Operator::Close() {
     Status child_status = child->Close();
     if (status.ok()) status = child_status;
   }
+  root_batch_.Clear();
+  root_pos_ = 0;
   ReleaseMemory();
   return status;
 }
 
-Result<bool> Operator::NextBatchImpl(core::AnnotatedBatch* out) {
-  while (out->tuples.size() < kDefaultBatchSize) {
-    core::AnnotatedTuple tuple;
-    INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, NextImpl(&tuple));
-    if (!more) break;
-    out->tuples.push_back(std::move(tuple));
+bool Operator::EmitRows(MaterializedRows* rows, core::AnnotatedBatch* out) const {
+  if (rows->cursor >= rows->rows.size()) return false;
+  size_t end = std::min(rows->rows.size(), rows->cursor + kDefaultBatchSize);
+  out->tuples.reserve(end - rows->cursor);
+  for (; rows->cursor < end; ++rows->cursor) {
+    Trace(rows->rows[rows->cursor]);
+    out->tuples.push_back(std::move(rows->rows[rows->cursor]));
   }
-  return !out->tuples.empty();
+  return true;
 }
 
 }  // namespace insightnotes::exec

@@ -1,17 +1,20 @@
-// Iterator interface over AnnotatedTuples, offered at two granularities:
-// the classic Volcano tuple-at-a-time Next() and a batch-at-a-time
-// NextBatch() used by the morsel-driven parallel executor (a default
-// adapter turns any tuple-at-a-time operator into a batch producer). Every
-// operator implements the extended summary-propagation semantics of its
-// relational counterpart (Section 2.1).
+// Batch-at-a-time iterator interface over AnnotatedTuples. Every operator
+// produces its output through one virtual, NextBatchImpl, and consumes its
+// children through NextBatch — the same contract the morsel-driven
+// parallel executor's worker pipelines speak. Every operator implements
+// the extended summary-propagation semantics of its relational
+// counterpart (Section 2.1).
 //
-// The public Open/Next/NextBatch entry points are non-virtual wrappers
-// (operators override OpenImpl/NextImpl/NextBatchImpl): the wrapper layer
-// maintains the per-operator OperatorMetrics counters surfaced through
-// EXPLAIN ANALYZE and, when metrics are enabled, per-call wall-clock time.
-// Operators optionally report each emitted tuple to a trace sink — the
-// demo's "under-the-hood execution" feature (Section 3, demonstration
-// feature 3).
+// The public Open/NextBatch entry points are non-virtual wrappers
+// (operators override OpenImpl/NextBatchImpl): the wrapper layer polls the
+// query context for cancellation at every call, maintains the per-operator
+// OperatorMetrics counters surfaced through EXPLAIN ANALYZE and, when
+// metrics are enabled, per-call wall-clock time. Next() is a tuple-at-a-time
+// adapter for root callers only (tests, benches, examples): it refills from
+// NextBatch; no operator calls it on a child. Operators optionally report
+// each emitted tuple to a trace sink — the demo's "under-the-hood
+// execution" feature (Section 3, demonstration feature 3) — so a traced
+// serial plan reports one operator's batch before its parent's.
 
 #ifndef INSIGHTNOTES_EXEC_OPERATOR_H_
 #define INSIGHTNOTES_EXEC_OPERATOR_H_
@@ -31,17 +34,31 @@ namespace insightnotes::exec {
 /// Callback invoked per emitted tuple: (operator name, tuple).
 using TraceSink = std::function<void(const std::string&, const core::AnnotatedTuple&)>;
 
-/// Tuples the default NextBatch adapter packs into one batch.
+/// Rows per batch for operators that choose their own batch boundaries
+/// (scans, joins, blocking operators replaying materialized output).
 inline constexpr size_t kDefaultBatchSize = 256;
 
-/// Execution counters maintained by the Open/Next/NextBatch wrappers and
+/// The output of a blocking operator (sort, aggregation, duplicate
+/// elimination, order restoration): materialized at Open, then replayed in
+/// kDefaultBatchSize runs by Operator::EmitRows.
+struct MaterializedRows {
+  std::vector<core::AnnotatedTuple> rows;
+  size_t cursor = 0;  // Next row to emit.
+
+  void Clear() {
+    rows.clear();
+    cursor = 0;
+  }
+};
+
+/// Execution counters maintained by the Open/NextBatch wrappers and
 /// the operators themselves. Counters are always on (plain increments);
 /// wall-clock time is only accumulated while metrics are enabled (see
 /// Operator::SetMetricsEnabled) to keep the hot path timer-free.
 struct OperatorMetrics {
-  uint64_t rows_out = 0;          // Tuples emitted through Next/NextBatch.
+  uint64_t rows_out = 0;          // Tuples emitted through NextBatch.
   uint64_t batches_out = 0;       // Batches emitted through NextBatch.
-  uint64_t wall_ns = 0;           // Inclusive time in Open/Next/NextBatch.
+  uint64_t wall_ns = 0;           // Inclusive time in Open/NextBatch.
   uint64_t morsels = 0;           // Morsel scans: morsels processed.
   uint64_t build_partitions = 0;  // Hash joins: partitions in the build.
   uint64_t partial_groups = 0;    // Partial agg/distinct/sort: local states built.
@@ -61,7 +78,9 @@ class Operator {
   /// before Next/NextBatch; calling it again restarts the iteration.
   Status Open();
 
-  /// Produces the next tuple into `out`. Returns false when exhausted.
+  /// Root-caller adapter: produces the next tuple into `out`, refilling
+  /// from NextBatch and skipping empty batches. Returns false when
+  /// exhausted. Operators never call this on a child.
   Result<bool> Next(core::AnnotatedTuple* out);
 
   /// Produces the next batch into `out` (cleared first). Returns false when
@@ -136,16 +155,14 @@ class Operator {
 
  protected:
   virtual Status OpenImpl() = 0;
-  virtual Result<bool> NextImpl(core::AnnotatedTuple* out) = 0;
-  /// Default adapter: packs up to kDefaultBatchSize NextImpl tuples.
-  virtual Result<bool> NextBatchImpl(core::AnnotatedBatch* out);
+  /// Fills `out` (empty on entry) with the next batch; false = exhausted.
+  virtual Result<bool> NextBatchImpl(core::AnnotatedBatch* out) = 0;
   /// Operator-specific teardown; the Close() wrapper handles children and
   /// the memory reservation.
   virtual Status CloseImpl() { return Status::OK(); }
 
   /// Polls the query context for cancellation / deadline expiry. The
-  /// Open/NextBatch wrappers call this at every boundary; tuple-at-a-time
-  /// drivers sample every kInterruptStride-th Next() call.
+  /// Open/NextBatch wrappers call this at every boundary.
   Status CheckInterrupt() {
     if (context_ == nullptr) return Status::OK();
     ++metrics_.cancel_checks;
@@ -169,18 +186,19 @@ class Operator {
     if (trace_) trace_(Name(), tuple);
   }
 
-  /// Next() wrapper polls the context once per this many calls so the
-  /// tuple-at-a-time path stays clock-free between samples.
-  static constexpr uint64_t kInterruptStride = 64;
+  /// Blocking operators' NextBatchImpl: moves the next kDefaultBatchSize
+  /// rows of `rows` into `out`, tracing each. False once all are replayed.
+  bool EmitRows(MaterializedRows* rows, core::AnnotatedBatch* out) const;
 
   TraceSink trace_;
   OperatorMetrics metrics_;
   bool metrics_enabled_ = false;
   std::shared_ptr<QueryContext> context_;
   MemoryReservation reservation_;
-  uint64_t next_calls_ = 0;  // Next() invocations since Open, for the stride.
 
  private:
+  core::AnnotatedBatch root_batch_;  // Next() adapter's current batch.
+  size_t root_pos_ = 0;              // Next tuple of root_batch_.
   static constexpr size_t kNoPlannerEstimate = static_cast<size_t>(-1);
   size_t planner_est_ = kNoPlannerEstimate;
 };

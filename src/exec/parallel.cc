@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "core/engine_snapshot.h"
+#include "exec/seq_scan.h"
 
 namespace insightnotes::exec {
 
@@ -139,20 +140,10 @@ Status ScanMorselSource::Materialize(uint64_t morsel, core::AnnotatedBatch* out)
     core::AnnotatedTuple tuple(tuples_[i]);
     if (stamp_ranks_) tuple.order_ranks.assign(1, static_cast<uint32_t>(i));
     if (with_summaries_) {
-      if (snapshot_ != nullptr) {
-        // Summary/attachment state from the pinned epoch: workers on other
-        // morsels and concurrent writers never perturb what this scan sees.
-        INSIGHTNOTES_ASSIGN_OR_RETURN(
-            tuple.summaries, snapshot_->SummariesFor(table_->id(), rows_[i]));
-        snapshot_->AppendAttachments(table_->id(), rows_[i], &tuple.attachments);
-      } else {
-        INSIGHTNOTES_ASSIGN_OR_RETURN(
-            tuple.summaries, manager_->SummariesFor(table_->id(), rows_[i]));
-        for (const ann::Attachment& att : store_->OnRow(table_->id(), rows_[i])) {
-          if (store_->IsArchived(att.annotation)) continue;
-          tuple.attachments.push_back(core::AttachmentInfo{att.annotation, att.columns});
-        }
-      }
+      // From the pinned epoch when there is one: workers on other morsels
+      // and concurrent writers never perturb what this scan sees.
+      INSIGHTNOTES_RETURN_IF_ERROR(AttachRowAnnotations(
+          snapshot_.get(), manager_, store_, table_->id(), rows_[i], &tuple));
     }
     out->tuples.push_back(std::move(tuple));
   }
@@ -160,8 +151,6 @@ Status ScanMorselSource::Materialize(uint64_t morsel, core::AnnotatedBatch* out)
 }
 
 Status MorselScanOperator::OpenImpl() {
-  pending_.Clear();
-  pending_pos_ = 0;
   last_claimed_morsel_ = kNoMorselClaimed;
   return Status::OK();
 }
@@ -175,16 +164,6 @@ Result<bool> MorselScanOperator::NextBatchImpl(core::AnnotatedBatch* out) {
   if (trace_) {
     for (const core::AnnotatedTuple& tuple : out->tuples) Trace(tuple);
   }
-  return true;
-}
-
-Result<bool> MorselScanOperator::NextImpl(core::AnnotatedTuple* out) {
-  while (pending_pos_ >= pending_.tuples.size()) {
-    INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, NextBatchImpl(&pending_));
-    if (!more) return false;
-    pending_pos_ = 0;
-  }
-  *out = std::move(pending_.tuples[pending_pos_++]);
   return true;
 }
 
@@ -328,7 +307,6 @@ Status GatherOperator::OpenImpl() {
   JoinWorkers();
   batches_.clear();
   batch_cursor_ = 0;
-  tuple_cursor_ = 0;
   collected_.clear();
   collected_.resize(workers_.size());
   worker_status_.assign(workers_.size(), Status::OK());
@@ -389,7 +367,6 @@ Status GatherOperator::CloseImpl() {
   collected_.clear();
   batches_.clear();
   batch_cursor_ = 0;
-  tuple_cursor_ = 0;
   for (const auto& mem : worker_reservations_) mem->ReleaseAll();
   return Status::OK();
 }
@@ -398,19 +375,6 @@ Result<bool> GatherOperator::NextBatchImpl(core::AnnotatedBatch* out) {
   if (batch_cursor_ >= batches_.size()) return false;
   *out = std::move(batches_[batch_cursor_++]);
   return true;
-}
-
-Result<bool> GatherOperator::NextImpl(core::AnnotatedTuple* out) {
-  while (batch_cursor_ < batches_.size()) {
-    core::AnnotatedBatch& batch = batches_[batch_cursor_];
-    if (tuple_cursor_ < batch.tuples.size()) {
-      *out = std::move(batch.tuples[tuple_cursor_++]);
-      return true;
-    }
-    ++batch_cursor_;
-    tuple_cursor_ = 0;
-  }
-  return false;
 }
 
 }  // namespace insightnotes::exec

@@ -204,15 +204,11 @@ class MorselScanOperator final : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
   Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override;
 
  private:
   std::shared_ptr<ScanMorselSource> source_;
   uint64_t last_claimed_morsel_ = kNoMorselClaimed;
-  // Tuple-at-a-time adapter state (NextBatch is the native interface).
-  core::AnnotatedBatch pending_;
-  size_t pending_pos_ = 0;
 };
 
 /// Exchange: runs P worker pipelines over the shared morsel source on the
@@ -252,7 +248,6 @@ class GatherOperator final : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
   Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override;
   /// Joins any outstanding worker jobs before shared states or the worker
   /// pipelines can be torn down — the cancellation-path half of teardown.
@@ -292,7 +287,6 @@ class GatherOperator final : public Operator {
 
   std::vector<core::AnnotatedBatch> batches_;  // Morsel order after Open.
   size_t batch_cursor_ = 0;
-  size_t tuple_cursor_ = 0;  // Within batches_[batch_cursor_] for NextImpl.
 };
 
 }  // namespace insightnotes::exec

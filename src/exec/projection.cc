@@ -99,15 +99,6 @@ Status ProjectOperator::ProjectTuple(core::AnnotatedTuple* in_ptr,
   return Status::OK();
 }
 
-Result<bool> ProjectOperator::NextImpl(core::AnnotatedTuple* out) {
-  core::AnnotatedTuple in;
-  INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, child_->Next(&in));
-  if (!more) return false;
-  INSIGHTNOTES_RETURN_IF_ERROR(ProjectTuple(&in, out));
-  Trace(*out);
-  return true;
-}
-
 Result<bool> ProjectOperator::NextBatchImpl(core::AnnotatedBatch* out) {
   core::AnnotatedBatch in;
   INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&in));

@@ -49,14 +49,12 @@ class ProjectOperator final : public Operator {
 
  protected:
   Status OpenImpl() override { return child_->Open(); }
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
-  /// Native batch path: one child batch in, one (same-morsel) batch out.
+  /// One child batch in, one (same-morsel) batch out.
   Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override;
 
  private:
   /// Trims/remaps annotations and projects the data values of one tuple.
   Status ProjectTuple(core::AnnotatedTuple* in, core::AnnotatedTuple* out) const;
-
 
   std::unique_ptr<Operator> child_;
   std::vector<ProjectionItem> items_;

@@ -6,10 +6,10 @@ namespace insightnotes::exec {
 
 Status RestoreOrderOperator::OpenImpl() {
   INSIGHTNOTES_RETURN_IF_ERROR(child_->Open());
-  results_.clear();
-  cursor_ = 0;
+  results_.Clear();
   ReleaseMemory();
-  results_.reserve(child_->EstimatedRows());
+  std::vector<core::AnnotatedTuple>& rows = results_.rows;
+  rows.reserve(child_->EstimatedRows());
   core::AnnotatedBatch batch;
   while (true) {
     INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&batch));
@@ -22,12 +22,12 @@ Status RestoreOrderOperator::OpenImpl() {
                                 " rank(s), expected " +
                                 std::to_string(key_order_.size()));
       }
-      results_.push_back(std::move(in));
+      rows.push_back(std::move(in));
     }
   }
   // Rank vectors are unique per tuple, so this comparator is a strict
   // total order: plain sort suffices and the result is deterministic.
-  std::sort(results_.begin(), results_.end(),
+  std::sort(rows.begin(), rows.end(),
             [this](const core::AnnotatedTuple& a, const core::AnnotatedTuple& b) {
               for (size_t k : key_order_) {
                 if (a.order_ranks[k] != b.order_ranks[k]) {
@@ -36,15 +36,9 @@ Status RestoreOrderOperator::OpenImpl() {
               }
               return false;
             });
+  // Canonical order restored; drop the keys.
+  for (core::AnnotatedTuple& row : rows) row.order_ranks.clear();
   return Status::OK();
-}
-
-Result<bool> RestoreOrderOperator::NextImpl(core::AnnotatedTuple* out) {
-  if (cursor_ >= results_.size()) return false;
-  *out = std::move(results_[cursor_++]);
-  out->order_ranks.clear();  // Canonical order restored; drop the keys.
-  Trace(*out);
-  return true;
 }
 
 }  // namespace insightnotes::exec

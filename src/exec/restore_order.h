@@ -40,13 +40,14 @@ class RestoreOrderOperator final : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
+  Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override {
+    return EmitRows(&results_, out);
+  }
 
  private:
   std::unique_ptr<Operator> child_;
   std::vector<size_t> key_order_;
-  std::vector<core::AnnotatedTuple> results_;
-  size_t cursor_ = 0;
+  MaterializedRows results_;
 };
 
 }  // namespace insightnotes::exec

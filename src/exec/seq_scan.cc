@@ -1,8 +1,30 @@
 #include "exec/seq_scan.h"
 
+#include <algorithm>
+
 #include "core/engine_snapshot.h"
 
 namespace insightnotes::exec {
+
+Status AttachRowAnnotations(const core::EngineSnapshot* snapshot,
+                            core::SummaryManager* manager,
+                            const ann::AnnotationStore* store, rel::TableId table,
+                            rel::RowId row, core::AnnotatedTuple* out) {
+  if (snapshot != nullptr) {
+    // Summaries and attachment metadata from the pinned epoch: concurrent
+    // writers maintain newer versions without this scan observing them.
+    INSIGHTNOTES_ASSIGN_OR_RETURN(out->summaries, snapshot->SummariesFor(table, row));
+    snapshot->AppendAttachments(table, row, &out->attachments);
+    return Status::OK();
+  }
+  INSIGHTNOTES_ASSIGN_OR_RETURN(out->summaries, manager->SummariesFor(table, row));
+  // Archived annotations stay out of the pipeline.
+  for (const ann::Attachment& att : store->OnRow(table, row)) {
+    if (store->IsArchived(att.annotation)) continue;
+    out->attachments.push_back(core::AttachmentInfo{att.annotation, att.columns});
+  }
+  return Status::OK();
+}
 
 SeqScanOperator::SeqScanOperator(const rel::Table* table, std::string alias,
                                  core::SummaryManager* manager,
@@ -38,32 +60,21 @@ Status SeqScanOperator::OpenImpl() {
   });
 }
 
-Result<bool> SeqScanOperator::NextImpl(core::AnnotatedTuple* out) {
+Result<bool> SeqScanOperator::NextBatchImpl(core::AnnotatedBatch* out) {
   if (cursor_ >= rows_.size()) return false;
-  size_t position = cursor_;
-  rel::RowId row = rows_[cursor_++];
-  INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Tuple tuple, table_->Get(row));
-  *out = core::AnnotatedTuple(std::move(tuple));
-  if (stamp_ranks_) out->order_ranks.assign(1, static_cast<uint32_t>(position));
-  if (with_summaries_) {
-    if (snapshot_ != nullptr) {
-      // Summaries and attachment metadata from the pinned epoch: concurrent
-      // writers maintain newer versions without this scan observing them.
-      INSIGHTNOTES_ASSIGN_OR_RETURN(
-          out->summaries, snapshot_->SummariesFor(table_->id(), row));
-      snapshot_->AppendAttachments(table_->id(), row, &out->attachments);
-    } else {
-      INSIGHTNOTES_ASSIGN_OR_RETURN(out->summaries,
-                                    manager_->SummariesFor(table_->id(), row));
-      // Attachment metadata: column positions in the scan output equal base
-      // table positions. Archived annotations stay out of the pipeline.
-      for (const ann::Attachment& att : store_->OnRow(table_->id(), row)) {
-        if (store_->IsArchived(att.annotation)) continue;
-        out->attachments.push_back(core::AttachmentInfo{att.annotation, att.columns});
-      }
+  size_t end = std::min(rows_.size(), cursor_ + kDefaultBatchSize);
+  out->tuples.reserve(end - cursor_);
+  for (; cursor_ < end; ++cursor_) {
+    rel::RowId row = rows_[cursor_];
+    INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Tuple tuple, table_->Get(row));
+    core::AnnotatedTuple& emitted = out->tuples.emplace_back(std::move(tuple));
+    if (stamp_ranks_) emitted.order_ranks.assign(1, static_cast<uint32_t>(cursor_));
+    if (with_summaries_) {
+      INSIGHTNOTES_RETURN_IF_ERROR(AttachRowAnnotations(
+          snapshot_.get(), manager_, store_, table_->id(), row, &emitted));
     }
+    Trace(emitted);
   }
-  Trace(*out);
   return true;
 }
 

@@ -15,6 +15,16 @@
 
 namespace insightnotes::exec {
 
+/// Attaches row `row` of table `table`'s summary objects (cloned) and the
+/// attachment metadata of its non-archived annotations to `out` — from the
+/// pinned epoch when `snapshot` is non-null, else live from `manager` and
+/// `store`. Column positions equal base-table positions. Shared by every
+/// scan: SeqScan, IndexScan and the parallel morsel source.
+Status AttachRowAnnotations(const core::EngineSnapshot* snapshot,
+                            core::SummaryManager* manager,
+                            const ann::AnnotationStore* store, rel::TableId table,
+                            rel::RowId row, core::AnnotatedTuple* out);
+
 class SeqScanOperator final : public Operator {
  public:
   /// Scans `table` under `alias` (used to qualify output columns). When
@@ -38,7 +48,7 @@ class SeqScanOperator final : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
+  Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override;
 
  private:
   const rel::Table* table_;

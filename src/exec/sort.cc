@@ -10,30 +10,30 @@ namespace insightnotes::exec {
 
 Status SortOperator::OpenImpl() {
   INSIGHTNOTES_RETURN_IF_ERROR(child_->Open());
-  results_.clear();
-  cursor_ = 0;
+  results_.Clear();
   ReleaseMemory();
-  results_.reserve(child_->EstimatedRows());
+  std::vector<core::AnnotatedTuple> rows;
+  rows.reserve(child_->EstimatedRows());
   core::AnnotatedBatch batch;
   while (true) {
     INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&batch));
     if (!more) break;
     INSIGHTNOTES_RETURN_IF_ERROR(ChargeMemory(core::ApproxBytes(batch)));
     for (core::AnnotatedTuple& in : batch.tuples) {
-      results_.push_back(std::move(in));
+      rows.push_back(std::move(in));
     }
   }
 
   // Precompute key values so comparator calls cannot fail mid-sort.
-  std::vector<std::vector<rel::Value>> key_values(results_.size());
-  for (size_t i = 0; i < results_.size(); ++i) {
+  std::vector<std::vector<rel::Value>> key_values(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
     key_values[i].reserve(keys_.size());
     for (const SortKey& key : keys_) {
-      INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Value v, key.expr->Evaluate(results_[i].tuple));
+      INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Value v, key.expr->Evaluate(rows[i].tuple));
       key_values[i].push_back(std::move(v));
     }
   }
-  std::vector<size_t> order(results_.size());
+  std::vector<size_t> order(rows.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   rel::ValueLess less;
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -45,18 +45,9 @@ Status SortOperator::OpenImpl() {
     }
     return false;
   });
-  std::vector<core::AnnotatedTuple> sorted;
-  sorted.reserve(results_.size());
-  for (size_t i : order) sorted.push_back(std::move(results_[i]));
-  results_ = std::move(sorted);
+  results_.rows.reserve(rows.size());
+  for (size_t i : order) results_.rows.push_back(std::move(rows[i]));
   return Status::OK();
-}
-
-Result<bool> SortOperator::NextImpl(core::AnnotatedTuple* out) {
-  if (cursor_ >= results_.size()) return false;
-  *out = std::move(results_[cursor_++]);
-  Trace(*out);
-  return true;
 }
 
 Status PartialSortState::Reset() {
@@ -121,11 +112,6 @@ std::string PartialSortOperator::Name() const {
     return "PartialTopK(" + std::to_string(bound_->limit()) + ")";
   }
   return "PartialSort";
-}
-
-Result<bool> PartialSortOperator::NextImpl(core::AnnotatedTuple*) {
-  core::AnnotatedBatch batch;
-  return NextBatchImpl(&batch);
 }
 
 Status PartialSortOperator::BuildEntry(const core::AnnotatedBatch& batch,
@@ -248,8 +234,7 @@ SortMergeOperator::SortMergeOperator(std::unique_ptr<Operator> child,
       limit_(limit) {}
 
 Status SortMergeOperator::OpenImpl() {
-  results_.clear();
-  cursor_ = 0;
+  results_.Clear();
   ReleaseMemory();
   // Opening the child runs the parallel section to exhaustion; the pool
   // futures it joins on provide the happens-before for the published runs.
@@ -271,16 +256,17 @@ Status SortMergeOperator::OpenImpl() {
     total += runs[i].size();
     if (!runs[i].empty()) heap.push(i);
   }
-  results_.reserve(std::min(total, limit_));
+  std::vector<core::AnnotatedTuple>& rows = results_.rows;
+  rows.reserve(std::min(total, limit_));
   // With a pushed-down LIMIT the merge stops at `limit_` rows: the heads
   // beyond it are exactly the rows the serial Limit above would discard.
-  while (!heap.empty() && results_.size() < limit_) {
+  while (!heap.empty() && rows.size() < limit_) {
     size_t i = heap.top();
     heap.pop();
-    results_.push_back(std::move(runs[i][pos[i]].tuple));
+    rows.push_back(std::move(runs[i][pos[i]].tuple));
     if (++pos[i] < runs[i].size()) heap.push(i);
   }
-  for (const core::AnnotatedTuple& tuple : results_) {
+  for (const core::AnnotatedTuple& tuple : rows) {
     INSIGHTNOTES_RETURN_IF_ERROR(ChargeMemory(core::ApproxBytes(tuple)));
   }
   if (metrics_enabled_) {
@@ -289,19 +275,14 @@ Status SortMergeOperator::OpenImpl() {
   return Status::OK();
 }
 
-Result<bool> SortMergeOperator::NextImpl(core::AnnotatedTuple* out) {
-  if (cursor_ >= results_.size()) return false;
-  *out = std::move(results_[cursor_++]);
-  Trace(*out);
-  return true;
-}
-
-Result<bool> LimitOperator::NextImpl(core::AnnotatedTuple* out) {
+Result<bool> LimitOperator::NextBatchImpl(core::AnnotatedBatch* out) {
   if (produced_ >= limit_) return false;
-  INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, child_->Next(out));
+  INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, child_->NextBatch(out));
   if (!more) return false;
-  ++produced_;
-  Trace(*out);
+  size_t take = std::min(out->tuples.size(), limit_ - produced_);
+  out->tuples.resize(take);
+  produced_ += take;
+  for (const core::AnnotatedTuple& tuple : out->tuples) Trace(tuple);
   return true;
 }
 

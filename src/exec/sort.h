@@ -45,13 +45,14 @@ class SortOperator final : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
+  Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override {
+    return EmitRows(&results_, out);
+  }
 
  private:
   std::unique_ptr<Operator> child_;
   std::vector<SortKey> keys_;
-  std::vector<core::AnnotatedTuple> results_;
-  size_t cursor_ = 0;
+  MaterializedRows results_;
 };
 
 /// One ORDER BY key of the parallel sort, in significance order (first =
@@ -172,7 +173,6 @@ class PartialSortOperator final : public Operator {
     ReleaseMemory();  // Previous execution's run charges.
     return child_->Open();
   }
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
   Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override;
 
  private:
@@ -208,7 +208,9 @@ class SortMergeOperator final : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
+  Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override {
+    return EmitRows(&results_, out);
+  }
 
  private:
   std::unique_ptr<Operator> child_;
@@ -217,11 +219,11 @@ class SortMergeOperator final : public Operator {
   std::shared_ptr<PartialSortState> source_;
   size_t limit_;
 
-  std::vector<core::AnnotatedTuple> results_;
-  size_t cursor_ = 0;
+  MaterializedRows results_;
 };
 
-/// LIMIT n.
+/// LIMIT n: passes the first n rows through, trimming the batch that
+/// crosses the limit, and stops without pulling its child again.
 class LimitOperator final : public Operator {
  public:
   LimitOperator(std::unique_ptr<Operator> child, size_t limit)
@@ -239,7 +241,7 @@ class LimitOperator final : public Operator {
     produced_ = 0;
     return child_->Open();
   }
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
+  Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override;
 
  private:
   std::unique_ptr<Operator> child_;

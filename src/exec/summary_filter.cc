@@ -43,18 +43,6 @@ Result<bool> SummaryFilterOperator::Passes(const core::AnnotatedTuple& tuple) co
   return false;
 }
 
-Result<bool> SummaryFilterOperator::NextImpl(core::AnnotatedTuple* out) {
-  while (true) {
-    INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, child_->Next(out));
-    if (!more) return false;
-    INSIGHTNOTES_ASSIGN_OR_RETURN(bool pass, Passes(*out));
-    if (pass) {
-      Trace(*out);
-      return true;
-    }
-  }
-}
-
 Result<bool> SummaryFilterOperator::NextBatchImpl(core::AnnotatedBatch* out) {
   INSIGHTNOTES_ASSIGN_OR_RETURN(bool more, child_->NextBatch(out));
   if (!more) return false;
@@ -78,9 +66,9 @@ std::string SummaryFilterOperator::Name() const {
 
 Status SummarySortOperator::OpenImpl() {
   INSIGHTNOTES_RETURN_IF_ERROR(child_->Open());
-  results_.clear();
-  cursor_ = 0;
-  results_.reserve(child_->EstimatedRows());
+  results_.Clear();
+  std::vector<core::AnnotatedTuple> rows;
+  rows.reserve(child_->EstimatedRows());
   std::vector<int64_t> keys;
   keys.reserve(child_->EstimatedRows());
   core::AnnotatedBatch batch;
@@ -90,26 +78,17 @@ Status SummarySortOperator::OpenImpl() {
     for (core::AnnotatedTuple& in : batch.tuples) {
       INSIGHTNOTES_ASSIGN_OR_RETURN(int64_t key, spec_.Evaluate(in));
       keys.push_back(key);
-      results_.push_back(std::move(in));
+      rows.push_back(std::move(in));
     }
   }
-  std::vector<size_t> order(results_.size());
+  std::vector<size_t> order(rows.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
     return ascending_ ? keys[a] < keys[b] : keys[a] > keys[b];
   });
-  std::vector<core::AnnotatedTuple> sorted;
-  sorted.reserve(results_.size());
-  for (size_t i : order) sorted.push_back(std::move(results_[i]));
-  results_ = std::move(sorted);
+  results_.rows.reserve(rows.size());
+  for (size_t i : order) results_.rows.push_back(std::move(rows[i]));
   return Status::OK();
-}
-
-Result<bool> SummarySortOperator::NextImpl(core::AnnotatedTuple* out) {
-  if (cursor_ >= results_.size()) return false;
-  *out = std::move(results_[cursor_++]);
-  Trace(*out);
-  return true;
 }
 
 }  // namespace insightnotes::exec

@@ -48,9 +48,8 @@ class SummaryFilterOperator final : public Operator {
 
  protected:
   Status OpenImpl() override { return child_->Open(); }
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
-  /// Native batch path: one child batch in, one (same-morsel) batch out;
-  /// may be empty with a `true` return.
+  /// One child batch in, one (same-morsel) batch out; may be empty with a
+  /// `true` return.
   Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override;
 
  private:
@@ -78,14 +77,15 @@ class SummarySortOperator final : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(core::AnnotatedTuple* out) override;
+  Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override {
+    return EmitRows(&results_, out);
+  }
 
  private:
   std::unique_ptr<Operator> child_;
   SummaryCountSpec spec_;
   bool ascending_;
-  std::vector<core::AnnotatedTuple> results_;
-  size_t cursor_ = 0;
+  MaterializedRows results_;
 };
 
 }  // namespace insightnotes::exec

@@ -28,28 +28,6 @@ bool ValueLess::operator()(const Value& a, const Value& b) const {
   return cmp.ok() && *cmp < 0;
 }
 
-void HashIndex::Insert(const Value& key, RowId row) {
-  map_[key].push_back(row);
-  ++num_entries_;
-}
-
-Status HashIndex::Remove(const Value& key, RowId row) {
-  auto it = map_.find(key);
-  if (it == map_.end()) return Status::NotFound("key not in index");
-  auto& rows = it->second;
-  auto pos = std::find(rows.begin(), rows.end(), row);
-  if (pos == rows.end()) return Status::NotFound("row not in index for key");
-  rows.erase(pos);
-  if (rows.empty()) map_.erase(it);
-  --num_entries_;
-  return Status::OK();
-}
-
-void HashIndex::LookupInto(const Value& key, std::vector<RowId>* out) const {
-  auto it = map_.find(key);
-  if (it != map_.end()) out->insert(out->end(), it->second.begin(), it->second.end());
-}
-
 void OrderedIndex::Insert(const Value& key, RowId row) {
   map_[key].push_back(row);
   ++num_entries_;

@@ -1,12 +1,11 @@
-// Secondary indexes on single columns: a hash index for equality probes and
-// an ordered index for range scans. The annotation store and zoom-in use
-// these for tuple lookups.
+// Value ordering and hashing functors, plus the in-memory ordered index
+// that backs a table's secondary index (rel::TableIndex) for equality and
+// range probes when the table is not persisted in a B+-tree.
 
 #ifndef INSIGHTNOTES_REL_INDEX_H_
 #define INSIGHTNOTES_REL_INDEX_H_
 
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -28,28 +27,6 @@ struct ValueHash {
 };
 struct ValueEq {
   bool operator()(const Value& a, const Value& b) const { return a == b; }
-};
-
-/// Equality index: value -> row ids (multimap semantics).
-class HashIndex {
- public:
-  void Insert(const Value& key, RowId row);
-  /// Removes one (key, row) pairing; NotFound if absent.
-  Status Remove(const Value& key, RowId row);
-  /// Appends the rows with exactly this key to `out` — the allocation-free
-  /// probe path (zoom-in, IndexScan).
-  void LookupInto(const Value& key, std::vector<RowId>* out) const;
-  /// Rows with exactly this key (empty vector if none).
-  std::vector<RowId> Lookup(const Value& key) const {
-    std::vector<RowId> out;
-    LookupInto(key, &out);
-    return out;
-  }
-  size_t NumEntries() const { return num_entries_; }
-
- private:
-  std::unordered_map<Value, std::vector<RowId>, ValueHash, ValueEq> map_;
-  size_t num_entries_ = 0;
 };
 
 /// Ordered index supporting range queries [lo, hi] (either bound optional).

@@ -177,8 +177,9 @@ Result<ExecutionOutput> SqlSession::Execute(std::string_view sql,
   INSIGHTNOTES_ASSIGN_OR_RETURN(Statement statement, Parse(sql));
   if (auto* select = std::get_if<SelectStatement>(&statement)) {
     PlannerOptions options = planner_options_;
-    // Tracing observes per-operator tuple order; keep the legacy serial
-    // rule-driven plan (optimizer plans may reorder operator events).
+    // Tracing observes per-operator tuple order; keep the serial
+    // rule-driven plan so events arrive deterministically, grouped per
+    // operator per batch (optimizer plans may reorder operator events).
     options.parallelism = trace != nullptr ? 1 : parallelism_;
     options.optimize = optimizer_enabled_ && trace == nullptr;
     context_->BeginStatement(statement_timeout_ms_, memory_limit_bytes_);

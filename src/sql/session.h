@@ -43,8 +43,10 @@ class SqlSession {
         context_(std::make_shared<exec::QueryContext>()) {}
 
   /// Parses, plans and executes one statement. With `trace` non-null,
-  /// SELECTs record per-operator tuple flow (traced queries always plan
-  /// serially so events arrive in the legacy order).
+  /// SELECTs record per-operator tuple flow. Traced queries always get the
+  /// serial rule-driven plan, whose events arrive deterministically,
+  /// grouped per operator per batch: a child's batch is reported before
+  /// its parent's.
   ///
   /// Every SELECT / EXPLAIN re-arms the session's QueryContext: the
   /// statement runs under `SET STATEMENT_TIMEOUT` / `SET MEMORY_LIMIT` and

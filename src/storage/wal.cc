@@ -224,116 +224,6 @@ Status WriteAheadLog::TruncateTo(uint64_t offset) {
   return Status::OK();
 }
 
-Status WriteAheadLog::Rewrite(const std::vector<std::string>& payloads) {
-  if (!is_open()) return Status::Internal("WAL not open");
-  if (failed_) {
-    return Status::IoError("WAL '" + path_ +
-                           "' is failed after an unrecovered partial append");
-  }
-  // Build the replacement beside the live log so the swap is a rename.
-  const std::string temp_path = path_ + ".compact";
-  // Simulated crash (test seam): abandon whatever handles exist, leave
-  // the on-disk files exactly as they are — no cleanup, no rollback —
-  // and report the log closed, like a process kill at this point would.
-  auto crash = [&](std::FILE* temp_handle, Status status) {
-    if (temp_handle != nullptr) std::fclose(temp_handle);
-    if (file_ != nullptr) {
-      std::fclose(file_);
-      file_ = nullptr;
-    }
-    return status;
-  };
-  auto fault = [&](const char* op) -> Status {
-    if (!rewrite_fault_hook_) return Status::OK();
-    return rewrite_fault_hook_(op);
-  };
-  if (Status f = fault("temp_create"); !f.ok()) return crash(nullptr, std::move(f));
-  std::FILE* temp = std::fopen(temp_path.c_str(), "wb");
-  if (temp == nullptr) {
-    return Status::IoError("cannot open WAL rewrite file '" + temp_path +
-                           "': " + std::strerror(errno));
-  }
-  auto fail_temp = [&](Status status) {
-    std::fclose(temp);
-    std::remove(temp_path.c_str());
-    return status;
-  };
-  if (Status f = fault("temp_header"); !f.ok()) return crash(temp, std::move(f));
-  if (std::fwrite(kWalMagic, 1, sizeof(kWalMagic), temp) != sizeof(kWalMagic)) {
-    return fail_temp(Status::IoError("cannot write WAL header to '" + temp_path +
-                                     "': " + std::strerror(errno)));
-  }
-  for (const std::string& payload : payloads) {
-    if (Status f = fault("temp_write"); !f.ok()) return crash(temp, std::move(f));
-    uint32_t length = static_cast<uint32_t>(payload.size());
-    uint32_t crc = Crc32(payload.data(), payload.size());
-    char header[kFrameHeader];
-    std::memcpy(header, &length, sizeof(length));
-    std::memcpy(header + sizeof(length), &crc, sizeof(crc));
-    if (std::fwrite(header, 1, sizeof(header), temp) != sizeof(header) ||
-        std::fwrite(payload.data(), 1, payload.size(), temp) != payload.size()) {
-      return fail_temp(Status::IoError("WAL rewrite append failed for '" +
-                                       temp_path + "': " + std::strerror(errno)));
-    }
-  }
-  if (Status f = fault("temp_fsync"); !f.ok()) return crash(temp, std::move(f));
-  Status synced = SyncFileToDisk(temp, temp_path);
-  if (!synced.ok()) return fail_temp(synced);
-  if (Status f = fault("temp_close"); !f.ok()) return crash(temp, std::move(f));
-  if (std::fclose(temp) != 0) {
-    std::remove(temp_path.c_str());
-    return Status::IoError("cannot close WAL rewrite file '" + temp_path + "'");
-  }
-
-  // Point of no return: drop the live handle and swap the files. Every
-  // payload is already durable in the temp file, so a crash between the
-  // close and the rename just leaves the original log plus a stale
-  // .compact sibling (overwritten by the next compaction).
-  if (Status f = fault("live_close"); !f.ok()) return crash(nullptr, std::move(f));
-  if (std::fclose(file_) != 0) {
-    file_ = nullptr;
-    std::remove(temp_path.c_str());
-    return Status::IoError("cannot close WAL '" + path_ + "' for rewrite");
-  }
-  file_ = nullptr;
-  if (Status f = fault("rename"); !f.ok()) return crash(nullptr, std::move(f));
-  if (std::rename(temp_path.c_str(), path_.c_str()) != 0) {
-    Status renamed = Status::IoError("cannot swap rewritten WAL into '" + path_ +
-                                     "': " + std::strerror(errno));
-    std::remove(temp_path.c_str());
-    // The original log is intact on disk; reopen it for appending.
-    file_ = std::fopen(path_.c_str(), "rb+");
-    if (file_ == nullptr || std::fseek(file_, 0, SEEK_END) != 0) {
-      if (file_ != nullptr) {
-        std::fclose(file_);
-        file_ = nullptr;
-      }
-      return renamed.WithContext("WAL closed (reopen after failed swap failed)");
-    }
-    return renamed;
-  }
-  // The rename swapped the directory entry, but the entry itself only
-  // becomes durable once the parent directory is synced — without this a
-  // power loss here can resurrect the pre-rewrite log on some filesystems.
-  if (Status f = fault("dir_fsync"); !f.ok()) return crash(nullptr, std::move(f));
-  if (Status synced_dir = FsyncDirOf(path_); !synced_dir.ok()) {
-    // The swap may or may not be durable; report the log closed so the
-    // caller falls back to reopen-and-replay, which handles either file.
-    return synced_dir.WithContext("WAL closed (swap durability unknown)");
-  }
-  if (Status f = fault("post_rename"); !f.ok()) return crash(nullptr, std::move(f));
-  file_ = std::fopen(path_.c_str(), "rb+");
-  if (file_ == nullptr || std::fseek(file_, 0, SEEK_END) != 0) {
-    if (file_ != nullptr) {
-      std::fclose(file_);
-      file_ = nullptr;
-    }
-    return Status::IoError("cannot reopen rewritten WAL '" + path_ + "'");
-  }
-  num_appended_ += payloads.size();
-  return Status::OK();
-}
-
 Status WriteAheadLog::Close() {
   Status result = Status::OK();
   if (file_ != nullptr) {

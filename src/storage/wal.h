@@ -22,7 +22,6 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -84,28 +83,6 @@ class WriteAheadLog {
   /// accepted again. On failure the log is (or stays) failed.
   Status TruncateTo(uint64_t offset);
 
-  /// Atomically replaces the entire log with `payloads` (in order): the
-  /// records are written to a sibling temp file, synced, and renamed over
-  /// the live log, which is then reopened for appending. Used by
-  /// checkpoint-time compaction to swap the append-only history for an
-  /// equivalent snapshot. A failure before the rename leaves the original
-  /// log untouched; a failure after it reports the log failed/closed so
-  /// the caller falls back to recovery-by-replay semantics.
-  Status Rewrite(const std::vector<std::string>& payloads);
-
-  /// Test seam: invoked before each scripted Rewrite step with the step's
-  /// name ("temp_create", "temp_header", "temp_write" per payload,
-  /// "temp_fsync", "temp_close", "live_close", "rename", "dir_fsync",
-  /// "post_rename").
-  /// A non-OK return simulates a crash at that point: both file handles
-  /// are abandoned exactly as they are on disk (no cleanup, no rename
-  /// rollback) and the log reports closed, the way a process kill would
-  /// leave it for the next reopen-and-replay.
-  using RewriteFaultHook = std::function<Status(const char* op)>;
-  void SetRewriteFaultHook(RewriteFaultHook hook) {
-    rewrite_fault_hook_ = std::move(hook);
-  }
-
   Status Close();
 
   bool is_open() const { return file_ != nullptr; }
@@ -129,7 +106,6 @@ class WriteAheadLog {
   std::FILE* file_ = nullptr;
   bool failed_ = false;
   uint64_t num_appended_ = 0;
-  RewriteFaultHook rewrite_fault_hook_;
 };
 
 }  // namespace insightnotes::storage

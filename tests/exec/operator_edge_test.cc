@@ -2,14 +2,21 @@
 // NULL keys, sort stability, string aggregates, empty inputs, expression
 // projections — plus the top-k LIMIT pushdown property suite (boundary
 // k values, tie groups straddling the cut, the shared TopKBound protocol,
-// and the no-ORDER-BY RowQuota with a late-publishing worker).
+// and the no-ORDER-BY RowQuota with a late-publishing worker) and the
+// batch contract: the root Next adapter agrees with NextBatch for every
+// operator kind, empty batches never end iteration, LIMIT stops at batch
+// granularity, and joins bound their output batches.
 
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <set>
 
 #include "exec/aggregate.h"
 #include "exec/distinct.h"
 #include "exec/filter.h"
 #include "exec/hash_join.h"
+#include "exec/nested_loop_join.h"
 #include "exec/parallel.h"
 #include "exec/projection.h"
 #include "exec/sort.h"
@@ -63,7 +70,69 @@ class OperatorEdgeTest : public testutil::EngineFixture {
     }
     return out;
   }
+
+  /// Drain through NextBatch instead of the Next adapter; `sizes`, when
+  /// given, receives every batch's row count (empty batches included).
+  std::vector<AnnotatedTuple> DrainBatches(Operator* op,
+                                           std::vector<size_t>* sizes = nullptr) {
+    EXPECT_TRUE(op->Open().ok());
+    std::vector<AnnotatedTuple> out;
+    core::AnnotatedBatch batch;
+    while (true) {
+      auto more = op->NextBatch(&batch);
+      EXPECT_TRUE(more.ok()) << more.status().ToString();
+      if (!more.ok() || !*more) break;
+      if (sizes != nullptr) sizes->push_back(batch.tuples.size());
+      for (AnnotatedTuple& t : batch.tuples) out.push_back(std::move(t));
+    }
+    return out;
+  }
+
+  /// Rows with their summaries and attachment ids, for byte comparisons.
+  static std::vector<std::string> Render(const std::vector<AnnotatedTuple>& rows) {
+    std::vector<std::string> out;
+    for (const AnnotatedTuple& row : rows) {
+      std::string line = row.tuple.ToString();
+      for (const auto& summary : row.summaries) line += " | " + summary->Render();
+      for (const auto& att : row.attachments) line += " #" + std::to_string(att.id);
+      out.push_back(std::move(line));
+    }
+    return out;
+  }
 };
+
+/// Emits scripted single-column batches verbatim, empty ones included.
+class ScriptedBatches final : public Operator {
+ public:
+  explicit ScriptedBatches(std::vector<std::vector<int64_t>> batches)
+      : batches_(std::move(batches)),
+        schema_({{"k", rel::ValueType::kInt64, "t"}}) {}
+
+  const rel::Schema& OutputSchema() const override { return schema_; }
+  std::string Name() const override { return "ScriptedBatches"; }
+
+ protected:
+  Status OpenImpl() override {
+    next_ = 0;
+    return Status::OK();
+  }
+  Result<bool> NextBatchImpl(core::AnnotatedBatch* out) override {
+    if (next_ >= batches_.size()) return false;
+    for (int64_t v : batches_[next_++]) out->tuples.emplace_back(rel::Tuple({I(v)}));
+    return true;
+  }
+
+ private:
+  std::vector<std::vector<int64_t>> batches_;
+  rel::Schema schema_;
+  size_t next_ = 0;
+};
+
+std::vector<int64_t> Keys(const std::vector<AnnotatedTuple>& rows) {
+  std::vector<int64_t> keys;
+  for (const AnnotatedTuple& row : rows) keys.push_back(row.tuple.ValueAt(0).AsInt64());
+  return keys;
+}
 
 TEST_F(OperatorEdgeTest, HashJoinDuplicateKeysProduceCrossMatches) {
   Insert("L", rel::Tuple({I(1), S("l1")}));
@@ -346,6 +415,164 @@ TEST_F(TopKPropertyTest, RowQuotaWaitsForLatePublisher) {
 
   ASSERT_TRUE(quota.Reset().ok());
   EXPECT_FALSE(quota.Satisfied());  // Reset rearms the quota.
+}
+
+// ---- Batch contract ----
+
+void CollectNames(Operator* op, std::set<std::string>* names) {
+  std::string name = op->Name();
+  // The operator kind: the name up to its first non-letter.
+  names->insert(name.substr(
+      0, name.find_first_not_of("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")));
+  for (Operator* child : op->Children()) CollectNames(child, names);
+}
+
+TEST_F(OperatorEdgeTest, NextAdapterAgreesWithNextBatchForEveryOperatorKind) {
+  CreateFigure2Tables();
+  CreateFigure2Instances();
+  // Enough rows for several batches and morsels, every fifth annotated.
+  for (int64_t i = 0; i < 600; ++i) {
+    std::string c = "c", d = "d";
+    Insert("R", rel::Tuple({I(10 + i), I(i % 7), S(c += std::to_string(i % 11)),
+                            S(d += std::to_string(i))}));
+  }
+  for (int64_t i = 0; i < 40; ++i) {
+    Insert("S", rel::Tuple({I(10 + 3 * i), S("y" + std::to_string(i % 3)), S("z")}));
+  }
+  const char* bodies[] = {"eating stonewort", "influenza infection",
+                          "wingspan is large", "wikipedia photo link"};
+  for (rel::RowId row = 0; row < 600; row += 5) {
+    std::vector<size_t> columns;
+    if (row % 2 == 1) columns.push_back(2);
+    ASSERT_TRUE(engine_->Annotate(Spec("R", row, bodies[row % 4], columns)).ok());
+  }
+  for (int64_t i = 0; i < 30; ++i) {
+    Insert("L", rel::Tuple({I(11 + 7 * i), S(i == 4 ? "hit" : "miss")}));
+  }
+  ASSERT_TRUE(engine_->CreateIndex("R", "b").ok());
+  for (const char* table : {"R", "S", "L"}) ASSERT_TRUE(engine_->Analyze(table).ok());
+
+  const std::vector<std::string> queries = {
+      "SELECT * FROM R r",
+      "SELECT r.a, r.c FROM R r WHERE r.b = 3",
+      "SELECT r.a FROM R r WHERE SUMMARY_COUNT(ClassBird1) > 0",
+      "SELECT r.a, r.b FROM R r ORDER BY r.b DESC, r.a",
+      "SELECT r.a FROM R r ORDER BY SUMMARY_COUNT(ClassBird1) DESC",
+      "SELECT r.a FROM R r LIMIT 300",
+      "SELECT r.b, COUNT(*), MIN(r.c) FROM R r GROUP BY r.b",
+      "SELECT DISTINCT r.c FROM R r",
+      "SELECT r.a, s.y FROM R r, S s WHERE r.a = s.x",
+      "SELECT s.y, r.a FROM S s, R r WHERE s.x = r.a AND r.b < 3",
+      "SELECT r.a, s.x FROM R r, S s WHERE r.b = 6 AND s.x < 25",
+      // Statistics make the optimizer join L first: a reordered plan.
+      "SELECT r.a, s.y, l.v FROM R r, S s, L l "
+      "WHERE r.b = s.x AND r.a = l.k AND l.v = 'hit'",
+  };
+  std::set<std::string> kinds;
+  for (const std::string& sql_text : queries) {
+    for (bool optimize : {false, true}) {
+      for (size_t parallelism : {1u, 4u}) {
+        SCOPED_TRACE(sql_text + " optimize=" + std::to_string(optimize) +
+                     " p=" + std::to_string(parallelism));
+        auto statement = sql::Parse(sql_text);
+        ASSERT_TRUE(statement.ok()) << statement.status().ToString();
+        sql::PlannerOptions options;
+        options.optimize = optimize;
+        options.parallelism = parallelism;
+        options.morsel_size = 64;
+        auto plan = sql::PlanSelect(std::get<sql::SelectStatement>(*statement),
+                                    engine_.get(), options);
+        ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+        CollectNames(plan->get(), &kinds);
+        std::vector<std::string> tuples = Render(Drain(plan->get()));
+        EXPECT_FALSE(tuples.empty());
+        // A second Open replays the same rows, this time batch by batch.
+        EXPECT_EQ(tuples, Render(DrainBatches(plan->get())));
+      }
+    }
+  }
+  for (const char* kind :
+       {"SeqScan", "IndexScan", "Filter", "Project", "SummaryFilter", "SummarySort",
+        "Sort", "Limit", "Aggregate", "Distinct", "HashJoin", "NestedLoopJoin",
+        "RestoreOrder", "Gather", "MorselScan", "HashJoinProbe", "PartialSort",
+        "SortMerge", "PartialAggregate", "AggregateMerge", "PartialDistinct",
+        "DistinctMerge"}) {
+    EXPECT_TRUE(kinds.count(kind)) << "no plan exercised " << kind << " in "
+                                   << ::testing::PrintToString(kinds);
+  }
+}
+
+TEST_F(OperatorEdgeTest, EmptyBatchesMidStreamDoNotEndIteration) {
+  const std::vector<std::vector<int64_t>> script = {{}, {1, 2}, {}, {}, {3}, {}, {4}};
+  auto source = [&] { return std::make_unique<ScriptedBatches>(script); };
+  EXPECT_EQ(Keys(Drain(source().get())), (std::vector<int64_t>{1, 2, 3, 4}));
+
+  // k >= 3 filters the whole {1, 2} batch: an empty output batch mid-stream.
+  FilterOperator filter(source(),
+                        rel::MakeCompare(rel::CompareOp::kGe, rel::MakeColumn(0, "k"),
+                                         rel::MakeLiteral(I(3))));
+  EXPECT_EQ(Keys(Drain(&filter)), (std::vector<int64_t>{3, 4}));
+  LimitOperator limit(source(), 3);
+  EXPECT_EQ(Keys(Drain(&limit)), (std::vector<int64_t>{1, 2, 3}));
+  std::vector<SortKey> keys;
+  keys.push_back(SortKey{rel::MakeColumn(0, "k"), false});
+  SortOperator sort(source(), std::move(keys));
+  EXPECT_EQ(Keys(Drain(&sort)), (std::vector<int64_t>{4, 3, 2, 1}));
+  HashJoinOperator join(source(), source(), rel::MakeColumn(0, "k"),
+                        rel::MakeColumn(0, "k"));
+  EXPECT_EQ(Keys(Drain(&join)), (std::vector<int64_t>{1, 2, 3, 4}));
+  NestedLoopJoinOperator nested(source(), source(),
+                                rel::MakeCompare(rel::CompareOp::kEq,
+                                                 rel::MakeColumn(0, "l.k"),
+                                                 rel::MakeColumn(1, "r.k")));
+  EXPECT_EQ(Keys(Drain(&nested)), (std::vector<int64_t>{1, 2, 3, 4}));
+}
+
+TEST_F(OperatorEdgeTest, LimitStopsAtBatchGranularity) {
+  const std::vector<std::vector<int64_t>> script = {{1, 2, 3}, {4, 5, 6}, {7}};
+  struct Case {
+    size_t limit;
+    std::vector<int64_t> rows;
+    uint64_t child_batches;  // Batches the limit may pull from its child.
+  };
+  for (const Case& c : std::vector<Case>{{0, {}, 0},          // Never pulls.
+                                         {2, {1, 2}, 1},      // Inside a batch.
+                                         {3, {1, 2, 3}, 1},   // At a boundary.
+                                         {100, {1, 2, 3, 4, 5, 6, 7}, 3}}) {
+    SCOPED_TRACE("limit=" + std::to_string(c.limit));
+    auto child = std::make_unique<ScriptedBatches>(script);
+    ScriptedBatches* source = child.get();
+    LimitOperator limit(std::move(child), c.limit);
+    EXPECT_EQ(Keys(Drain(&limit)), c.rows);
+    EXPECT_EQ(source->metrics().batches_out, c.child_batches);
+    EXPECT_EQ(Keys(DrainBatches(&limit)), c.rows);
+  }
+}
+
+TEST_F(OperatorEdgeTest, SerialJoinsBoundOutputBatches) {
+  // Two join keys: every probe batch fans out to 600 matches in total.
+  for (int64_t i = 0; i < 40; ++i) Insert("L", rel::Tuple({I(i % 2), S("l")}));
+  for (int64_t i = 0; i < 30; ++i) Insert("R2", rel::Tuple({I(i % 2), S("r")}));
+  std::vector<std::function<std::unique_ptr<Operator>()>> joins = {
+      [&] {
+        return std::make_unique<NestedLoopJoinOperator>(
+            Scan("L", "l"), Scan("R2", "r"), rel::MakeLiteral(I(1)));
+      },
+      [&] {
+        return std::make_unique<HashJoinOperator>(Scan("L", "l"), Scan("R2", "r"),
+                                                  rel::MakeColumn(0, "l.k"),
+                                                  rel::MakeColumn(0, "r.k"));
+      }};
+  for (size_t j = 0; j < joins.size(); ++j) {
+    auto join = joins[j]();
+    SCOPED_TRACE(join->Name());
+    std::vector<size_t> sizes;
+    std::vector<std::string> batched = Render(DrainBatches(join.get(), &sizes));
+    ASSERT_EQ(batched.size(), j == 0 ? 40u * 30u : 600u);
+    for (size_t size : sizes) EXPECT_LE(size, kDefaultBatchSize);
+    EXPECT_GT(sizes.size(), 1u);
+    EXPECT_EQ(batched, Render(Drain(joins[j]().get())));
+  }
 }
 
 TEST_F(OperatorEdgeTest, FilterTypeErrorSurfaces) {

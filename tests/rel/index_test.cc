@@ -9,36 +9,6 @@ namespace {
 
 Value I(int64_t v) { return Value(v); }
 
-TEST(HashIndexTest, InsertLookup) {
-  HashIndex idx;
-  idx.Insert(Value("swan"), 1);
-  idx.Insert(Value("swan"), 2);
-  idx.Insert(Value("goose"), 3);
-  auto rows = idx.Lookup(Value("swan"));
-  EXPECT_EQ(rows, (std::vector<RowId>{1, 2}));
-  EXPECT_EQ(idx.Lookup(Value("heron")).size(), 0u);
-  EXPECT_EQ(idx.NumEntries(), 3u);
-}
-
-TEST(HashIndexTest, RemoveSpecificPairing) {
-  HashIndex idx;
-  idx.Insert(I(5), 1);
-  idx.Insert(I(5), 2);
-  ASSERT_TRUE(idx.Remove(I(5), 1).ok());
-  EXPECT_EQ(idx.Lookup(I(5)), (std::vector<RowId>{2}));
-  EXPECT_TRUE(idx.Remove(I(5), 99).IsNotFound());
-  EXPECT_TRUE(idx.Remove(I(6), 2).IsNotFound());
-  ASSERT_TRUE(idx.Remove(I(5), 2).ok());
-  EXPECT_EQ(idx.NumEntries(), 0u);
-}
-
-TEST(HashIndexTest, NumericKeyCoercion) {
-  HashIndex idx;
-  idx.Insert(I(5), 1);
-  // 5.0 must find the int key 5 (Value equality/hash coercion contract).
-  EXPECT_EQ(idx.Lookup(Value(5.0)), (std::vector<RowId>{1}));
-}
-
 TEST(OrderedIndexTest, RangeQueries) {
   OrderedIndex idx;
   for (int64_t i = 0; i < 10; ++i) idx.Insert(I(i), static_cast<RowId>(i * 10));
@@ -88,17 +58,6 @@ TEST(ValueLessTest, MixedTypesHaveTotalOrder) {
   // Strict weak ordering sanity: !(a<b) && !(b<a) for equal values.
   EXPECT_FALSE(less(I(5), Value(5.0)));
   EXPECT_FALSE(less(Value(5.0), I(5)));
-}
-
-TEST(HashIndexTest, LookupIntoAppendsToExistingRows) {
-  HashIndex idx;
-  idx.Insert(I(1), 10);
-  idx.Insert(I(2), 20);
-  std::vector<RowId> out = {99};
-  idx.LookupInto(I(1), &out);
-  EXPECT_EQ(out, (std::vector<RowId>{99, 10}));
-  idx.LookupInto(I(7), &out);  // Miss appends nothing.
-  EXPECT_EQ(out, (std::vector<RowId>{99, 10}));
 }
 
 TEST(OrderedIndexTest, RangeIntoAppendsToExistingRows) {
