@@ -1,7 +1,9 @@
 #include "core/engine.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <map>
+#include <thread>
 #include <utility>
 
 #include "common/clock.h"
@@ -997,7 +999,9 @@ Status Engine::RegisterInstance(std::unique_ptr<SummaryInstance> instance) {
 Status Engine::LinkInstance(const std::string& instance, const std::string& table) {
   INSIGHTNOTES_ASSIGN_OR_RETURN(rel::Table * t, catalog_->GetTable(table));
   std::lock_guard<std::mutex> writer(writer_mutex_);
-  Status linked = manager_->Link(instance, t->id());
+  size_t threads = options_.recovery_threads;
+  if (threads == 0) threads = std::max<size_t>(1, std::thread::hardware_concurrency());
+  Status linked = manager_->Link(instance, t->id(), threads);
   // Link re-summarizes every annotated row of the table: full rebuild.
   if (linked.ok()) PublishFull();
   return linked;

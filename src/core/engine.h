@@ -75,9 +75,11 @@ struct EngineOptions {
   uint64_t wal_segment_bytes = 1 << 20;
   /// Minimum dead-record fraction before a sealed segment is compacted.
   double wal_compact_min_dead_ratio = 0.25;
-  /// WAL replay parallelism on reopen: 0 = one task per hardware thread,
-  /// 1 = the exact serial replay path, N > 1 = replay chains over N pool
-  /// workers. Any setting rebuilds the identical logical store state.
+  /// Restart parallelism: WAL replay on reopen and the re-summarization
+  /// LinkInstance runs over a table's existing annotations. 0 = one task
+  /// per hardware thread, 1 = the exact serial paths, N > 1 = N pool
+  /// workers (replay chains; row shards of the summary fold). Any setting
+  /// rebuilds the identical store state and summary objects.
   size_t recovery_threads = 0;
 };
 

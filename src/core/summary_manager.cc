@@ -97,7 +97,8 @@ std::vector<std::string> SummaryManager::InstanceNames() const {
   return names;
 }
 
-Status SummaryManager::Link(const std::string& instance_name, rel::TableId table) {
+Status SummaryManager::Link(const std::string& instance_name, rel::TableId table,
+                           size_t threads) {
   INSIGHTNOTES_ASSIGN_OR_RETURN(SummaryInstance * instance, GetInstance(instance_name));
   auto& linked = links_[table];
   if (std::find(linked.begin(), linked.end(), instance) != linked.end()) {
@@ -106,6 +107,33 @@ Status SummaryManager::Link(const std::string& instance_name, rel::TableId table
   }
   linked.push_back(instance);
   // Summarize the table's existing annotations under the new instance.
+  if (threads > 1) {
+    std::vector<std::pair<rel::RowId, ann::AnnotationId>> items;
+    store_->ScanTable(table, [&](rel::RowId row, const ann::Attachment& att) {
+      if (!store_->IsArchived(att.annotation)) items.emplace_back(row, att.annotation);
+      return true;
+    });
+    if (items.size() > 1) {
+      // Bodies are fetched a chunk at a time, so only one chunk of them is
+      // resident; chunks fold in scan order, like the serial scan. Fetches
+      // stay serial: concurrent Gets contend on the store and heap-file
+      // latches and run slower than one thread.
+      constexpr size_t kLinkChunk = 4096;
+      ThreadPool pool(threads);
+      std::vector<BatchAnnotation> batch;
+      for (size_t begin = 0; begin < items.size(); begin += kLinkChunk) {
+        const size_t end = std::min(items.size(), begin + kLinkChunk);
+        batch.clear();
+        batch.reserve(end - begin);
+        for (size_t i = begin; i < end; ++i) {
+          INSIGHTNOTES_ASSIGN_OR_RETURN(ann::Annotation note, store_->Get(items[i].second));
+          batch.push_back({std::move(note), ann::CellRegion{table, items[i].first, {}}});
+        }
+        INSIGHTNOTES_RETURN_IF_ERROR(FoldBatchSharded(batch, &pool, instance));
+      }
+      return Status::OK();
+    }
+  }
   Status status = Status::OK();
   store_->ScanTable(table, [&](rel::RowId row, const ann::Attachment& att) {
     if (store_->IsArchived(att.annotation)) return true;
@@ -248,7 +276,11 @@ Status SummaryManager::ApplyAnnotationBatch(const std::vector<BatchAnnotation>& 
     }
     return Status::OK();
   }
+  return FoldBatchSharded(batch, pool, /*only=*/nullptr);
+}
 
+Status SummaryManager::FoldBatchSharded(const std::vector<BatchAnnotation>& batch,
+                                        ThreadPool* pool, SummaryInstance* only) {
   // Per-item ingest plan: which instances maintain the target table, and
   // (for cluster instances) the parallel-tokenized body.
   struct ItemPlan {
@@ -261,7 +293,8 @@ Status SummaryManager::ApplyAnnotationBatch(const std::vector<BatchAnnotation>& 
   for (size_t i = 0; i < batch.size(); ++i) {
     const BatchAnnotation& item = batch[i];
     ItemPlan& plan = plans[i];
-    plan.linked = LinkedTo(item.region.table);
+    plan.linked = only != nullptr ? std::vector<SummaryInstance*>{only}
+                                  : LinkedTo(item.region.table);
     plan.skip = plan.linked.empty() || item.note.archived ||
                 store_->IsArchived(item.note.id);
     if (!plan.skip) plan.tokens.resize(plan.linked.size());

@@ -94,7 +94,11 @@ class SummaryManager {
   // --- Links (instance <-> relation, many-to-many) ------------------------
   /// Linking an instance to a table summarizes all existing annotations on
   /// that table immediately and maintains them incrementally afterwards.
-  Status Link(const std::string& instance_name, rel::TableId table);
+  /// With `threads > 1` that re-summarization runs the sharded fold of
+  /// ApplyAnnotationBatch over the table's attachments, restricted to the
+  /// new instance and taken a chunk at a time in scan order; the objects are
+  /// byte-identical to the serial scan's.
+  Status Link(const std::string& instance_name, rel::TableId table, size_t threads = 1);
   /// Unlinking drops the instance's objects on that table.
   Status Unlink(const std::string& instance_name, rel::TableId table);
   std::vector<SummaryInstance*> LinkedTo(rel::TableId table) const;
@@ -176,6 +180,13 @@ class SummaryManager {
   /// linked instance (the shared core of OnAnnotationAttached and the batch
   /// path). Summarizer failures degrade to a stale mark, not an error.
   Status FoldAnnotation(const ann::Annotation& note, const ann::CellRegion& region);
+
+  /// Phases of the pooled ApplyAnnotationBatch: parallel tokenization,
+  /// serial vocabulary commit and object creation, then a fold sharded by
+  /// row. `only` restricts the fold to one instance (Link); null folds into
+  /// every instance linked to an item's table.
+  Status FoldBatchSharded(const std::vector<BatchAnnotation>& batch, ThreadPool* pool,
+                          SummaryInstance* only);
 
   /// One summarizer fold: fault hook (if set), then AddAnnotation.
   Status ApplyToObject(SummaryObject* object, SummaryInstance* instance,

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -27,8 +28,8 @@ workload::WorkloadConfig BaseConfig() {
   return config;
 }
 
-std::unique_ptr<Engine> FreshEngine() {
-  auto engine = std::make_unique<Engine>();
+std::unique_ptr<Engine> FreshEngine(EngineOptions options = {}) {
+  auto engine = std::make_unique<Engine>(std::move(options));
   EXPECT_TRUE(engine->Init().ok());
   workload::WorkloadBuilder builder(BaseConfig());
   EXPECT_TRUE(builder.BuildBase(engine.get()).ok());
@@ -145,6 +146,35 @@ TEST(ParallelIngestTest, RepeatedParallelRunsAreStable) {
     } else {
       EXPECT_EQ(first, bytes) << "run=" << run;
     }
+  }
+}
+
+// LinkInstance re-summarizes the table's existing annotations on as many
+// workers as EngineOptions::recovery_threads asks for. At any parallelism
+// the objects must match the serial re-summarization byte for byte: for
+// relinked instances (warm per-instance caches) and for a cluster instance
+// registered after ingest, whose vocabulary grows during the link. 4300
+// annotations span two of the link's fetch chunks.
+TEST(ParallelIngestTest, ParallelLinkIsByteIdenticalToSerial) {
+  auto specs = MakeBatch(4300, 41);
+  auto linked_after_ingest = [&specs](size_t threads) {
+    EngineOptions options;
+    options.recovery_threads = threads;
+    auto engine = FreshEngine(std::move(options));
+    EXPECT_TRUE(engine->AnnotateBatch(specs, {.num_threads = 4}).ok());
+    for (const char* name : {"ClassBird1", "TextSummary1"}) {
+      EXPECT_TRUE(engine->UnlinkInstance(name, "birds").ok());
+      EXPECT_TRUE(engine->LinkInstance(name, "birds").ok());
+    }
+    EXPECT_TRUE(
+        engine->RegisterInstance(SummaryInstance::MakeCluster("LateCluster", 0.3)).ok());
+    EXPECT_TRUE(engine->LinkInstance("LateCluster", "birds").ok());
+    return SummaryFingerprint(engine.get());
+  };
+  const std::string serial = linked_after_ingest(1);
+  ASSERT_FALSE(serial.empty());
+  for (size_t threads : {2, 4}) {
+    EXPECT_EQ(serial, linked_after_ingest(threads)) << "threads=" << threads;
   }
 }
 
